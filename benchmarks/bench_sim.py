@@ -2,7 +2,7 @@
 
 For each workload the IR is compiled once (untimed), then the full
 scheme matrix (cae/dae/manual) is profiled under the reference
-interpreter and under the fast pre-decoded core, timing only the
+interpreter and under the fast generated-code core, timing only the
 profiling itself.  Writes per-workload wall times, speedups, the
 geomean speedup, streamed-event totals, and fast-path diagnostics
 (decode-cache hits, MRU short-circuits, event objects allocated) to
@@ -16,8 +16,8 @@ CI regression guard: ``--check benchmarks/BENCH_sim_baseline.json``
 fails (exit 1) when the measured geomean speedup drops below
 ``--min-speedup`` (default 2.0) or below half the recorded baseline —
 tolerant thresholds, so shared-runner noise does not flake the build,
-but a real fast-path regression (decode cache broken, dispatch
-de-optimized) cannot land silently.
+but a real fast-path regression (decode or code cache broken,
+generated code de-optimized) cannot land silently.
 
 Not a pytest module on purpose — the tier-1 suite must stay fast; CI
 runs this as a separate step on a workload subset.
@@ -69,7 +69,7 @@ def _bench_leg(workload, interp: str, scale: int,
         "instructions": instructions,
         "events_streamed": events,
         # The reference wraps every event in a MemoryEvent object; the
-        # fast core streams three scalars through the sink.
+        # fast core appends three list items per event.
         "event_objects_allocated": 0 if interp == "fast" else events,
         "mru_shortcircuits": mru,
         "minstr_per_s": round(instructions / elapsed / 1e6, 2)

@@ -6,23 +6,21 @@ the SSA environment, and every operand fetch re-classifies the value
 (constant? global? instruction result?).  None of that work depends on
 the dynamic execution — it is the same for every iteration of every
 loop — so this module hoists all of it into a single decode pass per
-:class:`~repro.ir.function.Function`:
+:class:`~repro.ir.function.Function`, whose output
+:mod:`~repro.interp.compiled` turns into Python source:
 
 * every SSA value (argument, instruction result, constant, global) is
   numbered into a slot of one flat register file; constants are written
-  into the register *template* once, so an operand fetch at run time is
-  always a plain list index;
+  into the register *template* once;
 * each basic block becomes a dense tuple of operation records —
   ``(opcode_int, slot indices, pre-resolved immediates, pre-bound
-  semantic function)`` — dispatched by integer compare instead of
-  ``isinstance``;
+  semantic function)``;
 * per-block dynamic-counter deltas (instruction total plus the
-  ``by_opcode`` histogram) are precomputed, so the interpreter charges
-  a whole block in O(distinct opcodes) instead of O(instructions);
+  ``by_opcode`` histogram) are precomputed, so a whole block is charged
+  in O(1) instead of once per instruction;
 * phi semantics are resolved per CFG *edge*: each branch record carries
   the ``(source slots, destination slots)`` parallel move of its target
-  block, so phis cost a list copy at the edge and nothing in the loop
-  body.
+  block, so phis cost one parallel assignment at the edge.
 
 Decoded functions are cached on the function object itself
 (``_repro_decoded``) so repeated profiles — the engine's scheme matrix,
@@ -62,9 +60,7 @@ from ..ir import (
 )
 from .interpreter import UNDEF, InterpError, fptosi
 
-# Integer opcodes of the decoded operation records.  The fast
-# interpreter dispatches on these with literal compares, ordered by
-# dynamic frequency in the bundled workloads.
+# Integer opcodes of the decoded operation records.
 OP_BINOP = 0
 OP_GEP = 1
 OP_LOAD = 2
@@ -98,7 +94,8 @@ def reset_decode_stats() -> None:
 
 
 def invalidate_decode(func: Function) -> None:
-    """Drop ``func``'s cached decode (call after mutating executed IR)."""
+    """Drop ``func``'s cached decode and the generated code cached on it
+    (call after mutating executed IR)."""
     func.__dict__.pop(_CACHE_ATTR, None)
 
 
@@ -219,9 +216,11 @@ CAST_FNS = {
 class DecodedBlock:
     """One basic block as a dense record list plus its counter deltas."""
 
-    __slots__ = ("ops", "count", "pairs")
+    __slots__ = ("name", "ops", "count", "pairs")
 
-    def __init__(self, ops: tuple, count: int, pairs: tuple):
+    def __init__(self, name: str, ops: tuple, count: int, pairs: tuple):
+        #: IR block name, kept for the generated code's comments.
+        self.name = name
         self.ops = ops
         #: Dynamic instructions charged on entry: phis + non-phis up to
         #: and including the terminator (the reference charges exactly
@@ -234,19 +233,36 @@ class DecodedBlock:
 class DecodedFunction:
     """A function compiled to slot-addressed records, ready to run."""
 
-    __slots__ = ("name", "blocks", "template", "arg_slots", "global_slots")
+    __slots__ = ("name", "blocks", "template", "arg_slots", "arg_kinds",
+                 "global_slots", "compiled")
 
     def __init__(self, name: str, blocks: list, template: list,
-                 arg_slots: tuple, global_slots: tuple):
+                 arg_slots: tuple, arg_kinds: tuple, global_slots: tuple):
         self.name = name
         self.blocks = blocks
         #: Register-file template: constants (and UNDEF) pre-stored;
-        #: copied per invocation so a fetch is always ``regs[slot]``.
+        #: every other slot is ``None``.
         self.template = template
         self.arg_slots = arg_slots
+        #: Per argument, ``"i"`` (integer or pointer), ``"f"`` (float)
+        #: or ``"?"`` — the types the generated code specializes on.
+        self.arg_kinds = arg_kinds
         #: ``(global name, slot)`` pairs resolved against the
         #: interpreter's binding table at run entry.
         self.global_slots = global_slots
+        #: The generated Python function, built on first run by
+        #: :func:`repro.interp.compiled.compiled_function`.
+        self.compiled = None
+
+    def __getstate__(self) -> dict:
+        # Generated code cannot be pickled; it is rebuilt on first run.
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["compiled"] = None
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
 
 
 def decode_function(func: Function) -> DecodedFunction:
@@ -304,6 +320,12 @@ def _decode(func: Function) -> DecodedFunction:
         return slot
 
     arg_slots = tuple(slot_of(arg) for arg in func.args)
+    arg_kinds = tuple(
+        "f" if arg.type.is_float()
+        else "i" if arg.type.is_integer() or arg.type.is_pointer()
+        else "?"
+        for arg in func.args
+    )
     block_index = {id(block): i for i, block in enumerate(func.blocks)}
     phis_of = {id(block): block.phis() for block in func.blocks}
 
@@ -359,20 +381,24 @@ def _decode(func: Function) -> DecodedFunction:
                 OP_RAISE,
                 "block %s fell through without terminator" % block.name,
             ))
-        blocks.append(DecodedBlock(tuple(ops), count, tuple(pairs.items())))
+        blocks.append(DecodedBlock(
+            block.name, tuple(ops), count, tuple(pairs.items()),
+        ))
 
     # The reference interpreter enters the entry block with no
     # predecessor, so entry phis always fail their incoming lookup.
     entry_phis = phis_of[id(func.blocks[0])] if func.blocks else []
     if entry_phis:
         blocks[0] = DecodedBlock(
+            blocks[0].name,
             ((OP_RAISE, "phi %s has no incoming for <entry>"
               % entry_phis[0].short_name()),),
             0, (),
         )
 
     return DecodedFunction(
-        func.name, blocks, template, arg_slots, tuple(global_slots),
+        func.name, blocks, template, arg_slots, arg_kinds,
+        tuple(global_slots),
     )
 
 

@@ -1,21 +1,26 @@
-"""Fast IR interpreter: array-indexed dispatch over pre-decoded records.
+"""Fast IR interpreter: runs generated Python code for each IR function.
 
-Drop-in replacement for :class:`~repro.interp.interpreter.Interpreter`
-that executes the :mod:`~repro.interp.decode` form instead of the IR
-object graph.  Behaviour is bit-identical — same traces, same memory
-side effects, same event stream in the same order, same error messages
-— which ``tests/interp/test_fast_equivalence.py`` pins on every bundled
-workload; only the constant factor changes:
+Drop-in replacement for :class:`~repro.interp.interpreter.Interpreter`.
+Each function is decoded once (:mod:`~repro.interp.decode`) and turned
+into a Python function once (:mod:`~repro.interp.compiled`); a run
+calls that function.  Behaviour is bit-identical — same traces, same
+memory side effects, same event stream in the same order, same error
+messages — which ``tests/interp/test_fast_equivalence.py`` pins on
+every bundled workload; only the constant factor changes:
 
-* operand fetches are list indexes into a flat register file (constants
-  pre-stored by the decoder) instead of ``id()``-dict probes;
-* dispatch is an integer compare chain ordered by opcode frequency
-  instead of an ``isinstance`` ladder;
+* there is no dispatch loop: register slots are Python locals, and
+  each operation is inline Python with only the coercions and UNDEF
+  checks its operands need;
 * dynamic counters (``instructions``, ``by_opcode``) are charged once
-  per basic block from precomputed deltas instead of once per step;
-* memory events *stream*: the interpreter calls ``sink(kind, address,
-  size)`` with three scalars — no :class:`MemoryEvent` is allocated —
-  and loads/stores touch :class:`SimMemory`'s cell dict directly.
+  per basic block, and ``by_opcode`` is folded from per-block hit
+  counters when a function returns;
+* memory events are *recorded*: the generated code appends
+  ``(kind_code, address, size)`` to one flat list (kind codes as in
+  :data:`~repro.interp.trace.KIND_NAMES`) — no callback and no
+  :class:`MemoryEvent` per event — and loads/stores touch
+  :class:`SimMemory`'s cell dict directly.  The profiler replays that
+  list through the cache model afterwards
+  (:func:`repro.sim.replay.replay_phase`).
 
 The reference interpreter stays available (``--interp=reference``, or
 ``TaskStreamProfiler(..., interp="reference")``) as the executable
@@ -33,12 +38,13 @@ import os
 from typing import Callable, Optional
 
 from ..ir import Function, GlobalVariable
+from .compiled import NO_RET, compiled_function
 from .decode import decode_function
-from .interpreter import UNDEF, ExecutionTrace, InterpError, MemoryEvent
+from .interpreter import ExecutionTrace, InterpError, MemoryEvent
 from .memory import MemoryError_, SimMemory
+from .trace import KIND_NAMES
 
-#: Marker distinguishing "returned void" from "returned None".
-_NO_RET = object()
+_UNBOUNDED = (float("-inf"), float("inf"))
 
 #: Accepted interpreter implementation names.  ``"replay"`` is the
 #: fast interpreter plus cross-scheme trace reuse: when a profiling
@@ -67,22 +73,23 @@ def resolve_interp(choice: Optional[str] = None) -> str:
 
 
 class FastInterpreter:
-    """Executes pre-decoded IR functions.
+    """Executes IR functions through their generated Python code.
 
     Constructor-compatible with the reference
-    :class:`~repro.interp.interpreter.Interpreter`; the additional
-    ``sink`` parameter is the streaming observer — called as
-    ``sink(kind, address, size)`` for every dynamic memory operation
-    without allocating an event object.  When only the legacy
-    ``observer`` is given, events are wrapped in :class:`MemoryEvent`
-    for it, preserving the old API.
+    :class:`~repro.interp.interpreter.Interpreter`.  ``events`` is the
+    flat list every run appends its ``(kind_code, address, size)``
+    triples to; without one, each run records into a scratch list.
+    ``sink`` (called as ``sink(kind, address, size)``) and the legacy
+    ``observer`` (called with a :class:`MemoryEvent`) are adapters fed
+    from the recorded list after each run, in program order.
     """
 
     def __init__(self, memory: SimMemory,
                  observer: Optional[Callable[[MemoryEvent], None]] = None,
                  max_steps: int = 200_000_000,
                  branch_observer: Optional[Callable] = None,
-                 sink: Optional[Callable[[str, int, int], None]] = None):
+                 sink: Optional[Callable[[str, int, int], None]] = None,
+                 events: Optional[list] = None):
         self.memory = memory
         self.max_steps = max_steps
         self.branch_observer = branch_observer
@@ -91,6 +98,7 @@ class FastInterpreter:
             def sink(kind, address, size, _observer=observer):
                 _observer(MemoryEvent(kind, address, size))
         self.sink = sink
+        self.events = events
 
     def bind_global(self, gv: GlobalVariable, address: int) -> None:
         self.globals[gv.name] = address
@@ -103,179 +111,41 @@ class FastInterpreter:
                 "%s expects %d args, got %d"
                 % (func.name, len(func.args), len(args))
             )
-        decoded = decode_function(func)
-        result = self._run(decoded, list(args), trace, 0)
-        if result is not _NO_RET:
+        generated = compiled_function(decode_function(func))
+        memory = self.memory
+        events = self.events if self.events is not None else []
+        start = len(events)
+        ctx = (memory._cells, events, self._region_lookup(), memory.alloc,
+               self.globals, trace, self.max_steps, self.branch_observer)
+        try:
+            result = generated(ctx, trace.instructions, 0, *args)
+        finally:
+            trace.mem_events += (len(events) - start) // 3
+            if self.sink is not None:
+                self._deliver(events, start)
+        if result is not NO_RET:
             trace.return_value = result
         return trace
 
-    def _run(self, decoded, args: list, trace: ExecutionTrace,
-             base: int):
-        """Execute one decoded invocation; returns the ret value.
-
-        ``base`` is ``trace.instructions`` at invocation entry, so the
-        step limit applies per invocation exactly as the reference's
-        fresh-trace-per-call does.  The trace itself is shared: counts
-        land directly where the reference would merge them.
-        """
+    def _region_lookup(self):
+        """``region(address, message)`` for the generated bounds check:
+        the allocated ``[lo, hi)`` span holding ``address``, or
+        :class:`MemoryError_` with ``message % address``."""
         memory = self.memory
-        cells = memory._cells
-        check_bounds = memory.check_bounds
-        region_of = memory.region_of
-        alloc = memory.alloc
+        if not memory.check_bounds:
+            return lambda address, message: _UNBOUNDED
+        span_of = memory.span_of
+
+        def region(address, message):
+            span = span_of(address)
+            if span is None:
+                raise MemoryError_(message % address)
+            return span
+
+        return region
+
+    def _deliver(self, events: list, start: int) -> None:
         sink = self.sink
-        branch_observer = self.branch_observer
-        max_steps = self.max_steps
-        by_opcode = trace.by_opcode
-
-        regs = decoded.template[:]
-        index = 0
-        for slot in decoded.arg_slots:
-            regs[slot] = args[index]
-            index += 1
-        if decoded.global_slots:
-            bound = self.globals
-            for name, slot in decoded.global_slots:
-                try:
-                    regs[slot] = bound[name]
-                except KeyError:
-                    raise InterpError("unbound global @%s" % name) from None
-
-        blocks = decoded.blocks
-        block = blocks[0]
-        while True:
-            # Charge the whole block's dynamic counters up front.
-            total = trace.instructions + block.count
-            trace.instructions = total
-            if total - base > max_steps:
-                raise InterpError("interpreter step limit exceeded")
-            for op_name, delta in block.pairs:
-                by_opcode[op_name] = by_opcode.get(op_name, 0) + delta
-
-            for op in block.ops:
-                code = op[0]
-                if code == 0:  # OP_BINOP: (dest, lhs, rhs, fn)
-                    a = regs[op[2]]
-                    b = regs[op[3]]
-                    regs[op[1]] = (
-                        UNDEF if a is UNDEF or b is UNDEF else op[4](a, b)
-                    )
-                elif code == 1:  # OP_GEP: (dest, base, index, elem_size)
-                    a = regs[op[2]]
-                    b = regs[op[3]]
-                    regs[op[1]] = (
-                        UNDEF if a is UNDEF or b is UNDEF
-                        else int(a) + int(b) * op[4]
-                    )
-                elif code == 2:  # OP_LOAD: (dest, ptr, size, is_float)
-                    address = regs[op[2]]
-                    if address is UNDEF:
-                        regs[op[1]] = UNDEF
-                    else:
-                        address = int(address)
-                        trace.mem_events += 1
-                        if sink is not None:
-                            sink("load", address, op[3])
-                        if check_bounds and region_of(address) is None:
-                            raise MemoryError_(
-                                "load from unallocated address 0x%x"
-                                % address
-                            )
-                        value = cells.get(address)
-                        if value is None:
-                            regs[op[1]] = 0.0 if op[4] else 0
-                        elif op[4]:
-                            regs[op[1]] = float(value)
-                        else:
-                            regs[op[1]] = int(value)
-                elif code == 3:  # OP_CMP: (dest, lhs, rhs, fn)
-                    a = regs[op[2]]
-                    b = regs[op[3]]
-                    regs[op[1]] = (
-                        UNDEF if a is UNDEF or b is UNDEF else op[4](a, b)
-                    )
-                elif code == 4:  # OP_JUMP: (edge,)
-                    edge = op[1]
-                    target = edge[0]
-                    if target < 0:
-                        raise InterpError(edge[1])
-                    srcs = edge[1]
-                    if srcs:
-                        values = [regs[s] for s in srcs]
-                        for dest, value in zip(edge[2], values):
-                            regs[dest] = value
-                    block = blocks[target]
-                    break
-                elif code == 5:  # OP_CONDBR: (cond, t_edge, f_edge, inst)
-                    cond = regs[op[1]]
-                    if cond is UNDEF:
-                        raise InterpError(
-                            "branch on undef in %s" % decoded.name
-                        )
-                    if branch_observer is not None:
-                        branch_observer(op[4], bool(cond))
-                    edge = op[2] if cond else op[3]
-                    target = edge[0]
-                    if target < 0:
-                        raise InterpError(edge[1])
-                    srcs = edge[1]
-                    if srcs:
-                        values = [regs[s] for s in srcs]
-                        for dest, value in zip(edge[2], values):
-                            regs[dest] = value
-                    block = blocks[target]
-                    break
-                elif code == 6:  # OP_STORE: (value, ptr, size, is_float)
-                    value = regs[op[1]]
-                    address = regs[op[2]]
-                    if address is not UNDEF:
-                        address = int(address)
-                        trace.mem_events += 1
-                        if sink is not None:
-                            sink("store", address, op[3])
-                        if value is not UNDEF:
-                            if check_bounds and region_of(address) is None:
-                                raise MemoryError_(
-                                    "store to unallocated address 0x%x"
-                                    % address
-                                )
-                            cells[address] = (
-                                float(value) if op[4] else int(value)
-                            )
-                elif code == 7:  # OP_PREFETCH: (ptr, size)
-                    address = regs[op[1]]
-                    if address is UNDEF:
-                        trace.dropped_prefetches += 1
-                    else:
-                        trace.mem_events += 1
-                        if sink is not None:
-                            sink("prefetch", int(address), op[2])
-                elif code == 8:  # OP_CAST: (dest, value, fn)
-                    value = regs[op[2]]
-                    regs[op[1]] = UNDEF if value is UNDEF else op[3](value)
-                elif code == 9:  # OP_SELECT: (dest, cond, true, false)
-                    cond = regs[op[2]]
-                    regs[op[1]] = (
-                        UNDEF if cond is UNDEF
-                        else regs[op[3]] if cond else regs[op[4]]
-                    )
-                elif code == 10:  # OP_CALL: (dest, callee, arg_slots)
-                    callee = op[2]
-                    sub = callee.__dict__.get("_repro_decoded")
-                    if sub is None:
-                        sub = decode_function(callee)
-                    sub_args = [regs[s] for s in op[3]]
-                    result = self._run(
-                        sub, sub_args, trace, trace.instructions
-                    )
-                    if op[1] >= 0:
-                        regs[op[1]] = (
-                            None if result is _NO_RET else result
-                        )
-                elif code == 11:  # OP_ALLOCA: (dest, size, name)
-                    regs[op[1]] = alloc(op[2], op[3])
-                elif code == 12:  # OP_RET: (value_slot,)
-                    slot = op[1]
-                    return _NO_RET if slot < 0 else regs[slot]
-                else:  # OP_RAISE: (message,)
-                    raise InterpError(op[1])
+        it = iter(events[start:])
+        for code, address, size in zip(it, it, it):
+            sink(KIND_NAMES[code], address, size)

@@ -7,6 +7,7 @@ in the IR (GEPs) works on real numbers the cache model can index.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable, Optional
 
 from ..ir import Type
@@ -43,6 +44,11 @@ class SimMemory:
         self.allocations: list[Allocation] = []
         self.check_bounds = check_bounds
         self._last_region: Optional[Allocation] = None
+        #: Back-to-back allocations merged into ``(lo, hi)`` spans,
+        #: sorted, for :meth:`span_of`; rebuilt when allocations grow.
+        self._spans: list[tuple[int, int]] = []
+        self._span_starts: list[int] = []
+        self._spans_for = 0
 
     # -- allocation ---------------------------------------------------------------
 
@@ -76,6 +82,33 @@ class SimMemory:
             if alloc.base <= address < alloc.end:
                 self._last_region = alloc
                 return alloc
+        return None
+
+    def span_of(self, address: int) -> Optional[tuple[int, int]]:
+        """The ``[lo, hi)`` run of back-to-back allocations holding
+        ``address``, or ``None`` when no allocation holds it.
+
+        Every address in the span is allocated, so a bounds check may
+        memoize the whole span; an alignment gap between allocations
+        ends one span and is in none.
+        """
+        if self._spans_for != len(self.allocations):
+            spans: list[list[int]] = []
+            for alloc in sorted(self.allocations, key=lambda a: a.base):
+                if alloc.size <= 0:
+                    continue
+                if spans and alloc.base <= spans[-1][1]:
+                    spans[-1][1] = max(spans[-1][1], alloc.end)
+                else:
+                    spans.append([alloc.base, alloc.end])
+            self._spans = [(lo, hi) for lo, hi in spans]
+            self._span_starts = [lo for lo, _ in spans]
+            self._spans_for = len(self.allocations)
+        index = bisect_right(self._span_starts, address) - 1
+        if index >= 0:
+            span = self._spans[index]
+            if address < span[1]:
+                return span
         return None
 
     # -- access --------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Compact record/replay traces of task-phase memory-event streams.
 
-The fast interpreter streams every dynamic memory operation as three
-scalars ``(kind, address, size)``.  Recording packs that stream into a
-single flat ``array('q')`` — three signed 64-bit words per event, no
-per-event objects — so a phase interpreted *once* can later be pushed
-through the cache model again (:func:`repro.sim.replay.replay_phase`)
-at C-iteration speed, either under another execution scheme or under a
-different machine configuration (the ``ablate`` sweeps).
+The fast interpreter records every dynamic memory operation as three
+items ``(kind, address, size)`` of one flat list, and the profiler
+replays that list through the cache model
+(:func:`repro.sim.replay.replay_phase`).  Recording packs the list into
+a single flat ``array('q')`` — three signed 64-bit words per event, no
+per-event objects — so a phase interpreted *once* can later be replayed
+again, either under another execution scheme or under a different
+machine configuration (the ``ablate`` sweeps).
 
 What makes a recorded phase safely replayable:
 

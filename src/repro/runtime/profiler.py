@@ -1,5 +1,8 @@
 """Task-stream profiling: interpreter + cache hierarchy → phase profiles.
 
+Each phase is interpreted into a flat event list, which is then
+replayed through the core's caches (:func:`repro.sim.replay.replay_phase`).
+
 This is the stand-in for the paper's profiling runs on real hardware
 ("we run all the applications at all available frequencies and profile
 the execution time of the access phases, execute phases, and the runtime
@@ -18,19 +21,30 @@ Execution schemes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Optional, Union
 
 from ..interp.decode import decode_stats
 from ..interp.fast import FastInterpreter, resolve_interp
 from ..interp.interpreter import Interpreter
 from ..interp.memory import SimMemory
-from ..interp.trace import PhaseTrace, TaskTrace, TraceStore, pack_events
+from ..interp.trace import (
+    KIND_NAMES,
+    PhaseTrace,
+    TaskTrace,
+    TraceStore,
+    pack_events,
+)
 from ..obs.events import get_collector
 from ..sim.cache import AccessCounts, MachineCaches
 from ..sim.config import MachineConfig
 from ..sim.replay import replay_phase
-from ..sim.timing import PhaseProfile, issue_slots
+from ..sim.timing import PhaseProfile
 from .task import Scheme, TaskInstance, TaskProfile, TaskRef
+
+
+_KIND_CODE = {name: code for code, name in enumerate(KIND_NAMES)}
+_IS_STORE = _KIND_CODE["store"].__eq__
 
 
 class ProfileError(Exception):
@@ -76,10 +90,12 @@ class TaskStreamProfiler:
         self.config = config or MachineConfig()
         #: Which interpreter runs the phases: ``"replay"`` (the fast
         #: core, plus cross-scheme trace reuse when the caller supplies
-        #: a :class:`TraceStore`), ``"fast"`` (pre-decoded, streaming
-        #: events straight into the cache model) or ``"reference"``
-        #: (the executable specification).  All produce byte-identical
-        #: profiles; ``None`` defers to ``$REPRO_INTERP``.
+        #: a :class:`TraceStore`), ``"fast"`` (generated code, every
+        #: phase interpreted) or ``"reference"`` (the executable
+        #: specification).  Each records a phase's events into a flat
+        #: list that is then replayed through the cache model.  All
+        #: produce byte-identical profiles; ``None`` defers to
+        #: ``$REPRO_INTERP``.
         self.interp = resolve_interp(interp)
 
     def profile(self, tasks: list[TaskInstance],
@@ -104,8 +120,7 @@ class TaskStreamProfiler:
         disables reuse from that task onward, falling back to full
         interpretation — and replayed phases apply the recorded memory
         delta so later interpreted phases see the exact memory an
-        interpreted run would have produced.  The store needs the fast
-        interpreter's streaming sink; it is ignored under
+        interpreted run would have produced.  The store is ignored under
         ``interp="reference"``.
         """
         try:
@@ -151,20 +166,16 @@ class TaskStreamProfiler:
                             "profiler.missing_access", cat="warning.profiler",
                             args={"task": instance.name, "scheme": scheme},
                         )
-                elif store is not None:
-                    access_profile, access_trace = self._record_phase(
-                        access_fn, instance.args, core,
-                        phase="access", task=instance.name,
-                        shareable=replay_ok,
-                    )
-                    store.note_recorded(access_trace)
-                    if access_trace.stores:
-                        replay_ok = False
                 else:
-                    access_profile = self._run_phase(
+                    access_profile, access_trace = self._run_phase(
                         access_fn, instance.args, core,
                         phase="access", task=instance.name,
+                        record=store is not None, shareable=replay_ok,
                     )
+                    if access_trace is not None:
+                        store.note_recorded(access_trace)
+                        if access_trace.stores:
+                            replay_ok = False
             if store is not None:
                 # Cross-scheme reuse only under interp="replay"; a
                 # store supplied under "fast" is record-only (every
@@ -184,10 +195,10 @@ class TaskStreamProfiler:
                     store.note_replayed(donor_trace)
                     execute_trace = donor_trace
                 else:
-                    execute_profile, execute_trace = self._record_phase(
+                    execute_profile, execute_trace = self._run_phase(
                         instance.kind.execute, instance.args, core,
                         phase="execute", task=instance.name,
-                        shareable=replay_ok,
+                        record=True, shareable=replay_ok,
                     )
                     store.note_recorded(execute_trace)
                 records.append(TaskTrace(
@@ -195,7 +206,7 @@ class TaskStreamProfiler:
                     access=access_trace, execute=execute_trace,
                 ))
             else:
-                execute_profile = self._run_phase(
+                execute_profile, _ = self._run_phase(
                     instance.kind.execute, instance.args, core,
                     phase="execute", task=instance.name,
                 )
@@ -217,23 +228,38 @@ class TaskStreamProfiler:
         return result
 
     def _run_phase(self, func, args, core, phase: str = "",
-                   task: str = "") -> PhaseProfile:
+                   task: str = "", record: bool = False,
+                   shareable: bool = True):
+        """Interpret one phase, then replay its events through ``core``.
+
+        The interpreter records the phase's memory events into one flat
+        ``[kind_code, address, size, ...]`` list; :func:`replay_phase`
+        then runs that list through the cache hierarchy in one pass.
+        The event stream never depends on cache state, so this is
+        exactly the profile an event-by-event simulation would give.
+
+        Returns ``(PhaseProfile, PhaseTrace)``, the trace ``None``
+        unless ``record``.  A recorded trace packs the flat list into
+        one ``array('q')``; its store addresses double as the purity
+        guard (``stores``) and the source of the post-phase memory
+        ``delta``.
+        """
         counts = AccessCounts()
         collector = get_collector()
-        if self.interp != "reference":
-            # Streaming pipeline: each memory operation flows as three
-            # scalars straight into the cache hierarchy — no MemoryEvent
-            # object, no event list.
-            core_access = core.access
-
-            def sink(kind, address, size):
-                core_access(address, kind, counts)
-
+        flat: list = []
+        fast = self.interp != "reference"
+        if fast:
             decode_before = decode_stats() if collector.enabled else None
-            mru_before = core.mru_hits
-            interp = FastInterpreter(self.memory, sink=sink)
-            trace = interp.run(func, args)
-            if collector.enabled:
+            trace = FastInterpreter(self.memory, events=flat).run(func, args)
+        else:
+            def observe(event, _extend=flat.extend):
+                _extend((_KIND_CODE[event.kind], event.address, event.size))
+
+            trace = Interpreter(self.memory, observer=observe).run(func, args)
+        mru_before = core.mru_hits
+        replay_phase(core, flat, counts)
+        if collector.enabled:
+            if fast:
                 decode_after = decode_stats()
                 collector.counter(
                     "interp.decode.cache_hit",
@@ -241,22 +267,16 @@ class TaskStreamProfiler:
                     cat="runtime.interp",
                     args={
                         "task": task, "phase": phase,
-                        "misses": decode_after["misses"] - decode_before["misses"],
+                        "misses": (decode_after["misses"]
+                                   - decode_before["misses"]),
                     },
                 )
-                collector.counter(
-                    "sim.l1.mru_shortcircuit",
-                    core.mru_hits - mru_before,
-                    cat="runtime.interp",
-                    args={"task": task, "phase": phase},
-                )
-        else:
-            def observe(event):
-                core.access(event.address, event.kind, counts)
-
-            interp = Interpreter(self.memory, observer=observe)
-            trace = interp.run(func, args)
-        if collector.enabled:
+            collector.counter(
+                "sim.l1.mru_shortcircuit",
+                core.mru_hits - mru_before,
+                cat="runtime.interp",
+                args={"task": task, "phase": phase},
+            )
             # Post-hoc snapshots: the interpreter and caches run
             # uninstrumented, then their counters are recorded once per
             # phase.
@@ -269,68 +289,14 @@ class TaskStreamProfiler:
                     "cache": counts.snapshot(),
                 },
             )
-        return PhaseProfile.from_run(trace, counts)
-
-    def _record_phase(self, func, args, core, phase: str = "",
-                      task: str = "", shareable: bool = True):
-        """Interpret one phase (fast core), recording its event stream.
-
-        Returns ``(PhaseProfile, PhaseTrace)``.  The recording sink is
-        the streaming cache sink plus three list appends per event; the
-        flat list packs into one ``array('q')`` after the run.  The
-        store-address list doubles as the purity guard (``stores``) and
-        the source of the post-phase memory ``delta``.
-        """
-        counts = AccessCounts()
-        collector = get_collector()
-        core_access = core.access
-        flat: list = []
-        flat_append = flat.append
-        store_addrs: list = []
-        store_append = store_addrs.append
-
-        def sink(kind, address, size):
-            core_access(address, kind, counts)
-            if kind == "load":
-                flat_append(0)
-            elif kind == "store":
-                flat_append(1)
-                store_append(address)
-            else:
-                flat_append(2)
-            flat_append(address)
-            flat_append(size)
-
-        decode_before = decode_stats() if collector.enabled else None
-        mru_before = core.mru_hits
-        interp = FastInterpreter(self.memory, sink=sink)
-        trace = interp.run(func, args)
-        if collector.enabled:
-            decode_after = decode_stats()
-            collector.counter(
-                "interp.decode.cache_hit",
-                decode_after["hits"] - decode_before["hits"],
-                cat="runtime.interp",
-                args={
-                    "task": task, "phase": phase,
-                    "misses": decode_after["misses"] - decode_before["misses"],
-                },
-            )
-            collector.counter(
-                "sim.l1.mru_shortcircuit",
-                core.mru_hits - mru_before,
-                cat="runtime.interp",
-                args={"task": task, "phase": phase},
-            )
-            collector.counter(
-                "phase.instructions", trace.instructions,
-                cat="runtime.phase",
-                args={
-                    "task": task, "phase": phase,
-                    "trace": trace.snapshot(),
-                    "cache": counts.snapshot(),
-                },
-            )
+        profile = PhaseProfile.from_run(trace, counts)
+        if not record:
+            return profile, None
+        kinds = flat[0::3]
+        store_addrs = (
+            list(compress(flat[1::3], map(_IS_STORE, kinds)))
+            if _KIND_CODE["store"] in kinds else []
+        )
         cells = self.memory._cells
         # Final value of every stored cell; the ``in cells`` filter
         # skips stores of undef, which emit an event but never write.
@@ -342,7 +308,7 @@ class TaskStreamProfiler:
         phase_trace = PhaseTrace(
             data=data,
             instructions=trace.instructions,
-            slots=issue_slots(trace),
+            slots=profile.slots,
             by_opcode=dict(trace.by_opcode),
             mem_events=trace.mem_events,
             dropped_prefetches=trace.dropped_prefetches,
@@ -350,7 +316,7 @@ class TaskStreamProfiler:
             delta=delta,
             shareable=shareable,
         )
-        return PhaseProfile.from_run(trace, counts), phase_trace
+        return profile, phase_trace
 
     def _replay_phase(self, phase_trace: PhaseTrace, core,
                       phase: str = "", task: str = "") -> PhaseProfile:

@@ -1,8 +1,10 @@
 """Replay recorded event traces through the cache hierarchy.
 
-:func:`replay_phase` pushes a packed ``(kind, address, size)`` trace
-(:mod:`repro.interp.trace`) through one core's caches without touching
-the interpreter.  It is a hand-inlined transcription of
+:func:`replay_phase` pushes a flat ``(kind, address, size)`` event
+list — a phase the interpreter just recorded, or a packed trace
+(:mod:`repro.interp.trace`) recorded earlier — through one core's
+caches.  It is the only way events reach the cache model while
+profiling.  It is a hand-inlined transcription of
 :meth:`~repro.sim.cache.CoreCaches.access` with every piece of hot
 state bound to a local — set lists, geometry, the MRU filter, the
 stream-miss window and the per-kind count dicts — and the packed array
@@ -25,12 +27,14 @@ from .cache import AccessCounts, CoreCaches
 
 
 def replay_phase(core: CoreCaches, data, counts: AccessCounts) -> int:
-    """Replay a packed trace on ``core``, tallying into ``counts``.
+    """Replay an event list on ``core``, tallying into ``counts``.
 
-    ``data`` is the flat ``array('q')`` of (kind, address, size)
-    triples from a :class:`~repro.interp.trace.PhaseTrace`.  Returns
+    ``data`` is a flat sequence of (kind, address, size) triples: the
+    interpreter's event list, or the ``array('q')`` of a
+    :class:`~repro.interp.trace.PhaseTrace`.  Returns
     the number of events replayed.  All cache state (including the
-    shared LLC) is mutated exactly as interpretation would.
+    shared LLC) is mutated exactly as feeding each event to
+    ``core.access`` would.
     """
     line_bytes = core.line_bytes
     shift = core._line_shift

@@ -375,3 +375,261 @@ class TestDecodeCache:
         assert resolve_interp(None) == "reference"
         with pytest.raises(ValueError):
             resolve_interp("turbo")
+
+
+# -- the generated core ------------------------------------------------------
+
+
+def _counting_loop(func, bound, body=None):
+    """Append ``for (i = 0; i < bound; i++) body(builder, i)`` to
+    ``func``'s entry; returns the builder positioned in the exit."""
+    entry = func.add_block("entry")
+    head, step, done = (func.add_block(n) for n in ("head", "step", "done"))
+    b = IRBuilder(entry)
+    b.jump(head)
+    b.set_block(head)
+    i = b.phi(I64, "i")
+    b.condbr(b.cmp("slt", i, bound, "more"), step, done)
+    b.set_block(step)
+    if body is not None:
+        body(b, i)
+    nxt = b.add(i, Constant(I64, 1), "i.next")
+    b.jump(head)
+    i.add_incoming(Constant(I64, 0), entry)
+    i.add_incoming(nxt, step)
+    b.set_block(done)
+    return b
+
+
+class TestGeneratedCore:
+    def _callee_and_caller(self):
+        work = Function("work", [I64], ["k"], VOID)
+        _counting_loop(work, work.args[0]).ret()
+        main = Function("main", [I64, I64], ["m", "k"], VOID)
+        _counting_loop(
+            main, main.args[0],
+            lambda b, i: b.call(work, [main.args[1]]),
+        ).ret()
+        return main
+
+    @pytest.mark.parametrize("m,k", [(2, 50), (5, 50), (1, 400)])
+    def test_step_limit_inside_callee(self, m, k):
+        """Each invocation counts against the limit from its own entry
+        (the reference gives every call a fresh trace); the caller sees
+        the callee's steps once it returns.  Both cores agree on which
+        runs finish and on every count of those that do."""
+        main = self._callee_and_caller()
+        outcomes = []
+        for make in (Interpreter, FastInterpreter):
+            try:
+                trace = make(SimMemory(), max_steps=1000).run(main, [m, k])
+                outcomes.append(_trace_key(trace))
+            except InterpError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        expect_error = (m, k) != (2, 50)
+        assert (outcomes[0] == "interpreter step limit exceeded") == (
+            expect_error
+        )
+
+    def test_runaway_callee_same_error(self):
+        spin = compile_source(
+            "func spin(n: i64) -> i64 { while (n > 0) { n = n + 1; } "
+            "return n; }\n"
+            "task t(n: i64, R: i64*) { R[0] = spin(n); }"
+        )
+        for make in (Interpreter, FastInterpreter):
+            memory = SimMemory()
+            out = memory.alloc_array(8, 1, "R")
+            with pytest.raises(InterpError) as excinfo:
+                make(memory, max_steps=5000).run(spin.function("t"), [1, out])
+            assert str(excinfo.value) == "interpreter step limit exceeded"
+
+    def test_select_on_undef_condition(self):
+        from repro.interp import UNDEF
+        func = Function("f", [I64], ["x"], I64)
+        b = IRBuilder(func.add_block("entry"))
+        picked = b.select(Undef(BOOL), func.args[0], Constant(I64, 2), "p")
+        b.ret(b.add(picked, Constant(I64, 1), "q"))
+        for make in (Interpreter, FastInterpreter):
+            assert make(SimMemory()).run(func, [7]).return_value is UNDEF
+
+    def test_select_passes_an_undef_operand_through(self):
+        from repro.interp import UNDEF
+        func = Function("f", [BOOL], ["c"], I64)
+        b = IRBuilder(func.add_block("entry"))
+        b.ret(b.select(func.args[0], Undef(I64), Constant(I64, 2), "p"))
+        ref_true, fast_true, *_ = _run_both(func, [1])
+        assert ref_true.return_value is UNDEF
+        ref_false, fast_false, *_ = _run_both(func, [0])
+        assert ref_false.return_value == 2
+
+    @pytest.mark.parametrize("value,expected", [
+        (math.inf, (1 << 63) - 1), (-math.inf, -(1 << 63)), (math.nan, 0),
+        (-2.75, -2),
+    ])
+    def test_fptosi_nonfinite_saturates(self, value, expected):
+        func = Function("f", [F64], ["x"], I64)
+        b = IRBuilder(func.add_block("entry"))
+        b.ret(b.cast("fptosi", func.args[0], I64, "i"))
+        ref, fast, *_ = _run_both(func, [value])
+        assert ref.return_value == fast.return_value == expected
+
+    def _same_error(self, func, args=(), error=InterpError):
+        messages = []
+        for make in (Interpreter, FastInterpreter):
+            with pytest.raises(error) as excinfo:
+                make(SimMemory()).run(func, list(args))
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1]
+        return messages[0]
+
+    def test_unbound_global_same_error(self):
+        from repro.ir import GlobalVariable
+        func = Function("g", [], [], F64)
+        b = IRBuilder(func.add_block("entry"))
+        b.ret(b.load(GlobalVariable(F64, "table"), "v"))
+        assert self._same_error(func) == "unbound global @table"
+
+    def test_entry_block_phi_same_error(self):
+        func = Function("f", [], [], I64)
+        entry = func.add_block("entry")
+        b = IRBuilder(entry)
+        phi = b.phi(I64, "x")
+        phi.add_incoming(Constant(I64, 1), entry)
+        b.ret(phi)
+        assert self._same_error(func) == "phi %x has no incoming for <entry>"
+
+    def test_missing_terminator_same_error(self):
+        func = Function("f", [I64], ["x"], I64)
+        b = IRBuilder(func.add_block("entry"))
+        b.add(func.args[0], Constant(I64, 1), "y")
+        assert self._same_error(func, [1]) == (
+            "block entry fell through without terminator"
+        )
+
+    def test_load_in_alignment_gap_after_a_hit(self):
+        """The bounds check memoizes the last allocated span it matched;
+        a load just past that allocation, into the alignment gap before
+        the next one, must still fail."""
+        func = Function("f", [pointer_to(F64)], ["A"], F64)
+        b = IRBuilder(func.add_block("entry"))
+        first = b.load(b.gep(func.args[0], Constant(I64, 0), "a0"), "x")
+        second = b.load(b.gep(func.args[0], Constant(I64, 1), "a1"), "y")
+        b.ret(b.binop("fadd", first, second, "s"))
+        messages, streams = [], []
+        for make in (Interpreter, FastInterpreter):
+            memory = SimMemory()
+            base = memory.alloc_array(8, 1, "A", init=[1.5])
+            memory.alloc_array(8, 8, "B")
+            events = []
+            interp = make(
+                memory,
+                observer=lambda e: events.append((e.kind, e.address, e.size)),
+            )
+            with pytest.raises(MemoryError_) as excinfo:
+                interp.run(func, [base])
+            messages.append(str(excinfo.value))
+            streams.append(events)
+        assert messages[0] == messages[1] == (
+            "load from unallocated address 0x%x" % (base + 8)
+        )
+        assert streams[0] == streams[1] == [
+            ("load", base, 8), ("load", base + 8, 8),
+        ]
+
+    def test_back_to_back_allocations_are_all_in_bounds(self):
+        func = Function("f", [pointer_to(F64)], ["A"], F64)
+        b = IRBuilder(func.add_block("entry"))
+        first = b.load(b.gep(func.args[0], Constant(I64, 0), "a0"), "x")
+        # 8 elements of A fill its 64-byte slot exactly; index 8 is the
+        # first element of the next allocation.
+        second = b.load(b.gep(func.args[0], Constant(I64, 8), "a8"), "y")
+        b.ret(b.binop("fadd", first, second, "s"))
+        ref_mem, fast_mem = SimMemory(), SimMemory()
+        for memory in (ref_mem, fast_mem):
+            base = memory.alloc_array(8, 8, "A", init=[1.0] * 8)
+            memory.alloc_array(8, 8, "B", init=[2.0] * 8)
+        ref, fast, *_ = _run_both(func, [base], memories=(ref_mem, fast_mem))
+        assert ref.return_value == 3.0
+
+    def test_recursion_fifty_deep(self):
+        module = compile_source(
+            "func depth(k: i64, A: f64*) -> i64 {\n"
+            "  if (k <= 0) { return 0; }\n"
+            "  A[k] = A[k - 1] + 1.0;\n"
+            "  return 1 + depth(k - 1, A);\n"
+            "}\n"
+            "task t(n: i64, A: f64*, R: i64*) { R[0] = depth(n, A); }"
+        )
+        ref_mem, fast_mem = SimMemory(), SimMemory()
+        for memory in (ref_mem, fast_mem):
+            args = [50, memory.alloc_array(8, 51, "A"),
+                    memory.alloc_array(8, 1, "R")]
+        ref, fast, ref_events, *_ = _run_both(
+            module.function("t"), args, memories=(ref_mem, fast_mem),
+        )
+        assert ref_mem._cells[args[2]] == 50
+        assert ref.count("call") == 51
+        assert len(ref_events) > 2 * 50
+
+    def test_source_generated_once_per_decode(self, monkeypatch):
+        import repro.interp.compiled as compiled
+        built = []
+        original = compiled._build
+
+        def counting_build(decoded):
+            built.append(decoded)
+            return original(decoded)
+
+        monkeypatch.setattr(compiled, "_build", counting_build)
+        func = compile_source(
+            "func f(x: i64) -> i64 { return x + 1; }"
+        ).function("f")
+        invalidate_decode(func)
+        interp = FastInterpreter(SimMemory())
+        assert interp.run(func, [1]).return_value == 2
+        assert interp.run(func, [2]).return_value == 3
+        decoded = decode_function(func)
+        assert built == [decoded]
+        generated = decoded.compiled
+        invalidate_decode(func)
+        assert interp.run(func, [3]).return_value == 4
+        assert len(built) == 2 and built[1] is not decoded
+        assert decode_function(func).compiled is not generated
+
+    def test_executed_function_still_pickles(self):
+        import pickle
+        func = compile_source(
+            "func f(x: i64) -> i64 { return x + 1; }"
+        ).function("f")
+        interp = FastInterpreter(SimMemory())
+        assert interp.run(func, [1]).return_value == 2
+        copy = pickle.loads(pickle.dumps(func))
+        assert interp.run(copy, [2]).return_value == 3
+
+    def test_traceback_shows_generated_line(self):
+        import traceback
+        func = compile_source(
+            "task t(n: i64) { while (n > 0) { n = n + 1; } }"
+        ).function("t")
+        with pytest.raises(InterpError) as excinfo:
+            FastInterpreter(SimMemory(), max_steps=1000).run(func, [1])
+        text = "".join(traceback.format_exception(excinfo.value))
+        assert 'File "<repro-ir:t>"' in text
+        assert "raise InterpError('interpreter step limit exceeded')" in text
+
+        # A float where the IR says i64 runs the untyped variant, which
+        # is generated later into the same listing.
+        with pytest.raises(InterpError) as excinfo:
+            FastInterpreter(SimMemory(), max_steps=1000).run(func, [1.0])
+        text = "".join(traceback.format_exception(excinfo.value))
+        assert "in ir_t__generic" in text
+        assert "raise InterpError('interpreter step limit exceeded')" in text
+
+        bad = compile_source("task t(A: f64*) { A[0] = 1.0; }").function("t")
+        with pytest.raises(MemoryError_) as excinfo:
+            FastInterpreter(SimMemory()).run(bad, [0x10])
+        text = "".join(traceback.format_exception(excinfo.value))
+        assert 'File "<repro-ir:t>"' in text
+        assert "lo, hi = region(" in text

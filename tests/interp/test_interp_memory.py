@@ -48,6 +48,26 @@ class TestSimMemory:
         assert memory.region_of(base - 1) is None or True  # other region ok
 
 
+    def test_span_of_merges_back_to_back_allocations(self):
+        memory = SimMemory()
+        first = memory.alloc(64, "a")
+        second = memory.alloc(64, "b")      # starts where "a" ends
+        assert memory.span_of(first + 8) == (first, second + 64)
+        assert memory.span_of(second + 63) == (first, second + 64)
+        assert memory.span_of(second + 64) is None
+        assert memory.span_of(first - 1) is None
+
+    def test_span_of_stops_at_an_alignment_gap(self):
+        memory = SimMemory()
+        first = memory.alloc(8, "a")
+        second = memory.alloc(8, "b")       # 64-byte aligned: a gap
+        assert memory.span_of(first) == (first, first + 8)
+        assert memory.span_of(first + 8) is None
+        assert memory.span_of(second) == (second, second + 8)
+        third = memory.alloc(8, "c")        # spans rebuild on growth
+        assert memory.span_of(third + 4) == (third, third + 8)
+
+
 class TestTraceCollection:
     def test_instruction_and_opcode_counts(self):
         src = ("func f(n: i64) -> i64 { var s: i64 = 0; var i: i64;"
