@@ -50,7 +50,7 @@ import os
 from .. import obs
 from ..engine import ExperimentSpec, ProfileCache, run_experiment
 from ..interp import INTERP_CHOICES
-from ..sim.config import MachineConfig
+from ..sim.config import MachineConfig, MachineConfigError
 from ..tuning import STRATEGIES, tune_workload
 from ..workloads import ALL_WORKLOADS, workload_by_name
 from . import (
@@ -900,9 +900,12 @@ def _run_ablate(args, parser) -> int:
         parser.error("--values must name at least one value")
     print("ablating %s over %s=%s (scale %d)..."
           % (args.app, args.vary, args.values, args.scale), file=sys.stderr)
-    report = ablate_workload(
-        workload, args.vary, values, scale=args.scale,
-    )
+    try:
+        report = ablate_workload(
+            workload, args.vary, values, scale=args.scale,
+        )
+    except MachineConfigError as exc:
+        parser.error("--values out of range for %s: %s" % (args.vary, exc))
     if args.out:
         with open(args.out, "w") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)

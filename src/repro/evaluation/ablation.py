@@ -8,7 +8,11 @@ configuration.  :func:`ablate_workload` records the full scheme matrix
 once, then re-simulates it under each config variant by replaying the
 traces through a fresh cache hierarchy
 (:func:`~repro.runtime.profiler.replay_stream`) — no re-interpretation
-— and schedules each variant to report time/energy/EDP.
+— and schedules each variant to report time/energy/EDP.  The L1/L2
+half of that replay depends only on the private cache geometry and the
+core count, so a sweep that leaves those alone (LLC size or latency,
+DRAM latency, MLP) filters L1/L2 once per recorded scheme and replays
+only the L2-miss substream per variant; an L1/L2 sweep replays fully.
 
 Sweepable parameters (:data:`SWEEP_PARAMS`) cover cache capacities and
 latencies, DRAM latency, and the memory-level-parallelism knobs.  When
@@ -96,8 +100,15 @@ def ablate_workload(workload: Workload, param: str, values: Sequence,
 
     Records the three-scheme profile matrix once under the base
     ``config``, then replays the recorded traces through each variant's
-    cache hierarchy and schedules the result.  Returns a JSON-able
-    report dict (render with :func:`render_ablation_report`).
+    cache hierarchy and schedules the result.  Variants that share the
+    L1/L2 geometry and core count (every LLC, latency, DRAM or MLP
+    sweep) reuse one L1/L2 filtering pass per scheme.  Returns a
+    JSON-able report dict (render with :func:`render_ablation_report`).
+
+    Every variant is validated before anything is profiled: a value
+    that makes the machine inconsistent (an L1 smaller than one set, a
+    negative capacity) raises :class:`~repro.sim.config.MachineConfigError`
+    naming the cache level.
     """
     if param not in SWEEP_PARAMS:
         raise ValueError(
@@ -106,18 +117,22 @@ def ablate_workload(workload: Workload, param: str, values: Sequence,
         )
     _, build = SWEEP_PARAMS[param]
     base = config or MachineConfig()
+    variants = [build(base, value).validate() for value in values]
     store = TraceStore()
     run = profile_workload(
         workload, scale, base, schemes=ALL_SCHEMES,
         interp="replay", trace_store=store,
     )
     replayed = store.fully_replayable()
+    # Stage-1 (L1/L2) replay results per scheme, shared by every
+    # variant with the same private geometry — all of an LLC-side sweep.
+    memos = {scheme: {} for scheme in run.profiles}
     rows = []
-    for value in values:
-        variant = build(base, value)
+    for value, variant in zip(values, variants):
         if replayed:
             profiles = {
-                scheme: replay_stream(store.schemes[scheme], scheme, variant)
+                scheme: replay_stream(store.schemes[scheme], scheme, variant,
+                                      memo=memos[scheme])
                 for scheme in run.profiles
             }
             variant_run = WorkloadRun(

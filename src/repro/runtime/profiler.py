@@ -38,7 +38,7 @@ from ..interp.trace import (
 from ..obs.events import get_collector
 from ..sim.cache import AccessCounts, MachineCaches
 from ..sim.config import MachineConfig
-from ..sim.replay import replay_phase
+from ..sim.replay import filter_private, replay_phase, replay_shared
 from ..sim.timing import PhaseProfile
 from .task import Scheme, TaskInstance, TaskProfile, TaskRef
 
@@ -359,7 +359,8 @@ class TaskStreamProfiler:
 
 
 def replay_stream(records: list[TaskTrace], scheme: str,
-                  config: Optional[MachineConfig] = None) -> StreamProfile:
+                  config: Optional[MachineConfig] = None, *,
+                  memo: Optional[dict] = None) -> StreamProfile:
     """Re-simulate one recorded scheme under ``config`` — replay only.
 
     The trace-backed ablation path: every phase of every task is pushed
@@ -370,28 +371,52 @@ def replay_stream(records: list[TaskTrace], scheme: str,
     would — the differential ablation test pins that — in a fraction of
     the time.
 
+    The replay runs in the two stages of :mod:`repro.sim.replay`:
+    :func:`~repro.sim.replay.filter_private` over the whole stream
+    (each task on its round-robin core), then
+    :func:`~repro.sim.replay.replay_shared` over the L2-miss
+    substreams, in task order.  ``memo`` is an optional caller-owned
+    dict of stage-1 results for ``records``, keyed by the private
+    geometry — ``cores`` (the round-robin task-to-core map) and the
+    ``size_bytes``, ``ways`` and ``line_bytes`` of L1 and L2: on a hit
+    only stage 2 runs, against a fresh LLC and fresh stream windows,
+    so a sweep over LLC-side parameters filters L1/L2 once per
+    recording.  One memo serves one ``records`` list; handing it
+    another raises :class:`ValueError`.
+
     Raises :class:`ProfileError` if any recorded phase is non-replayable
     (``PhaseTrace.data is None``); callers should fall back to full
     re-interpretation (``TraceStore.fully_replayable`` pre-checks this).
     """
     config = config or MachineConfig()
     caches = MachineCaches(config)
+    # Everything stage 1 depends on: the task-to-core map and L1/L2.
+    key = (
+        config.cores,
+        config.l1.size_bytes, config.l1.ways, config.l1.line_bytes,
+        config.l2.size_bytes, config.l2.ways, config.l2.line_bytes,
+    )
+    entry = memo.get(key) if memo is not None else None
+    if entry is None:
+        entry = (records, _filter_stream(records, scheme, caches))
+        if memo is not None:
+            memo[key] = entry
+    elif entry[0] is not records:
+        raise ValueError(
+            "replay_stream memo was filled from a different recording"
+        )
+    filtered = entry[1]
     result = StreamProfile(scheme=scheme)
-    for index, task_trace in enumerate(records):
+    for index, (task_trace, phases) in enumerate(zip(records, filtered)):
         core = caches.cores[index % config.cores]
         profiles = []
-        for phase_trace in (task_trace.access, task_trace.execute):
-            if phase_trace is None:
+        for phase_trace, private in zip(
+                (task_trace.access, task_trace.execute), phases):
+            if private is None:
                 profiles.append(None)
                 continue
-            if phase_trace.data is None:
-                raise ProfileError(
-                    "task %r under scheme %r recorded a non-replayable "
-                    "phase; re-profile this configuration instead"
-                    % (task_trace.name, scheme)
-                )
             counts = AccessCounts()
-            replay_phase(core, phase_trace.data, counts)
+            replay_shared(core, private, counts)
             profiles.append(PhaseProfile(
                 instructions=phase_trace.instructions,
                 slots=phase_trace.slots,
@@ -403,5 +428,33 @@ def replay_stream(records: list[TaskTrace], scheme: str,
             execute=execute_profile,
             access=access_profile,
         ))
-    result.mru_shortcircuits = sum(core.mru_hits for core in caches.cores)
+    result.mru_shortcircuits = sum(
+        private.mru_hits for phases in filtered
+        for private in phases if private is not None
+    )
     return result
+
+
+def _filter_stream(records: list[TaskTrace], scheme: str,
+                   caches: MachineCaches) -> list:
+    """Stage 1 of :func:`replay_stream`: per task, the
+    ``(access, execute)`` :class:`~repro.sim.replay.PrivateFiltered`
+    pair (``None`` for an absent phase)."""
+    cores = caches.cores
+    filtered = []
+    for index, task_trace in enumerate(records):
+        core = cores[index % len(cores)]
+        phases = []
+        for phase_trace in (task_trace.access, task_trace.execute):
+            if phase_trace is None:
+                phases.append(None)
+                continue
+            if phase_trace.data is None:
+                raise ProfileError(
+                    "task %r under scheme %r recorded a non-replayable "
+                    "phase; re-profile this configuration instead"
+                    % (task_trace.name, scheme)
+                )
+            phases.append(filter_private(core, phase_trace.data))
+        filtered.append(tuple(phases))
+    return filtered

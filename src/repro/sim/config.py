@@ -51,7 +51,10 @@ class CacheConfig:
     set_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        sets = self.size_bytes // (self.ways * self.line_bytes)
+        # A non-positive set size leaves ``sets`` at 0 for
+        # :meth:`MachineConfig.validate` to reject by name.
+        set_bytes = self.ways * self.line_bytes
+        sets = self.size_bytes // set_bytes if set_bytes > 0 else 0
         object.__setattr__(self, "sets", sets)
         line = self.line_bytes
         object.__setattr__(
@@ -255,6 +258,17 @@ class MachineConfig:
                 raise MachineConfigError(
                     "%s geometry must be positive (size_bytes=%d, ways=%d)"
                     % (level, cache.size_bytes, cache.ways)
+                )
+            if cache.line_bytes < 1:
+                raise MachineConfigError(
+                    "%s line_bytes must be >= 1, got %d"
+                    % (level, cache.line_bytes)
+                )
+            if cache.sets < 1:
+                raise MachineConfigError(
+                    "%s has no sets: size_bytes=%d is smaller than one set "
+                    "(ways=%d x line_bytes=%d)"
+                    % (level, cache.size_bytes, cache.ways, cache.line_bytes)
                 )
         return self
 

@@ -11,6 +11,8 @@ from repro.evaluation import (
     render_ablation_report,
 )
 from repro.sim import MachineConfig
+from repro.sim.config import MachineConfigError
+from repro.workloads import workload_by_name
 
 from ..engine.tinywork import TinyWorkload
 
@@ -81,3 +83,33 @@ class TestRenderAblationReport:
         fallback = dict(report, replayed=False)
         text = render_ablation_report(fallback)
         assert "full re-interpretation" in text
+
+
+class TestAblateValidation:
+    """A value that breaks the machine fails as a typed error naming the
+    cache level, before anything is profiled or replayed."""
+
+    @pytest.fixture
+    def no_profiling(self, monkeypatch):
+        from repro.evaluation import ablation
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("profiled before validating the variants")
+
+        monkeypatch.setattr(ablation, "profile_workload", refuse)
+
+    def test_l1_smaller_than_one_set(self, no_profiling):
+        with pytest.raises(MachineConfigError, match="l1 has no sets"):
+            ablate_workload(workload_by_name("cigar"), "l1_kb", [0.1])
+
+    def test_negative_llc_capacity(self, no_profiling):
+        with pytest.raises(MachineConfigError, match="llc geometry"):
+            ablate_workload(workload_by_name("cigar"), "llc_kb", [24, -4])
+
+    def test_cli_reports_bad_value(self, no_profiling, capsys):
+        from repro.evaluation.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["ablate", "cigar", "--vary", "l1_kb", "--values", "0.1"])
+        assert exit_info.value.code == 2
+        assert "l1 has no sets" in capsys.readouterr().err

@@ -94,3 +94,24 @@ class TestValidate:
         bad = CacheConfig(0, 8, latency_cycles=12)
         with pytest.raises(MachineConfigError, match="geometry"):
             MachineConfig(l2=bad).validate()
+
+    def test_cache_smaller_than_one_set_rejected(self):
+        # 102 bytes cannot hold one 4-way set of 64-byte lines.
+        bad = CacheConfig(102, 4, latency_cycles=4)
+        assert bad.sets == 0
+        with pytest.raises(MachineConfigError, match="l1 has no sets"):
+            MachineConfig(l1=bad).validate()
+
+    def test_line_bytes_must_be_positive(self):
+        for line_bytes in (0, -64):
+            bad = CacheConfig(16 * 1024, 8, line_bytes=line_bytes)
+            with pytest.raises(MachineConfigError, match="l2 line_bytes"):
+                MachineConfig(l2=bad).validate()
+
+    def test_shipped_configs_validate(self):
+        from repro.machines import MachineModel
+        from repro.sim.config import sandybridge_full
+
+        sandybridge_full().validate()
+        for name in MachineModel.registered_names():
+            MachineModel.from_name(name).validate()
