@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 
 from ..interp.fast import resolve_interp
 from ..interp.trace import TraceStore
-from ..runtime.profiler import StreamProfile, TaskStreamProfiler
+from ..runtime.profiler import StreamProfile, TaskStreamProfiler, replay_stream
 from ..runtime.task import Scheme, TaskProfile, TaskRef
 from ..sim.cache import AccessCounts, LEVELS
 from ..sim.config import MachineConfig
@@ -126,9 +126,8 @@ def profile_workload(workload: Workload, scale: int = 1,
     :class:`~repro.machines.model.MachineModel`.  A homogeneous model
     simply substitutes its config.  A heterogeneous one forces the
     record-and-replay path: the matrix is interpreted once (recording
-    every phase), then each scheme is re-simulated through the
-    machine's per-type cache hierarchy
-    (:func:`repro.machines.replay.machine_stream`) so access phases
+    every phase), then each scheme is re-simulated on the machine by
+    :func:`~repro.runtime.profiler.replay_stream`, so access phases
     meet the access cluster's caches and execute phases the execute
     cluster's.  A workload that records a non-replayable phase cannot
     be profiled on a heterogeneous machine and raises
@@ -175,9 +174,8 @@ def profile_workload(workload: Workload, scale: int = 1,
                 "heterogeneous machine %r requires full trace replay"
                 % (workload.name, machine.name)
             )
-        from ..machines.replay import machine_stream
         profiles = {
-            scheme: machine_stream(
+            scheme: replay_stream(
                 machine_store.schemes[scheme], scheme, machine
             )
             for scheme in profiles

@@ -3,13 +3,12 @@
 ``python -m repro.evaluation machines <app...> --machines a,b,c``
 records each workload's three-scheme profile matrix exactly once, then
 re-simulates it under every requested
-:class:`~repro.machines.model.MachineModel` by trace replay — the
-homogeneous ones through :func:`~repro.runtime.profiler.replay_stream`,
-the heterogeneous ones through
-:func:`~repro.machines.replay.machine_stream` — and schedules the
-run-ledger configurations on each.  On a fully-replayable workload not
-a single instruction is re-interpreted per machine (the report carries
-the :class:`~repro.interp.trace.TraceStore` counters that prove it).
+:class:`~repro.machines.model.MachineModel` by trace replay
+(:func:`~repro.runtime.profiler.replay_stream`, one call per machine
+and scheme) and schedules the run-ledger configurations on each.  On a
+fully-replayable workload not a single instruction is re-interpreted
+per machine (the report carries the
+:class:`~repro.interp.trace.TraceStore` counters that prove it).
 
 Every scheduled result records a timeline and passes both timeline
 validation and the exact energy roll-up check, so migration charges on
@@ -17,8 +16,8 @@ heterogeneous machines are audited on every run of the verb.
 
 ``machines_manifest`` projects one machine's column into a run-ledger
 manifest document, which is how CI's ``machines-smoke`` job holds the
-``sandybridge`` column to the committed baseline with the ordinary
-``runs compare`` 5% gate.
+``sandybridge`` and ``biglittle`` columns to committed baselines with
+the ordinary ``runs compare`` 5% gate.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Optional, Sequence
 
 from ..engine.products import ALL_SCHEMES, WorkloadRun, profile_workload
 from ..interp.trace import TraceStore
-from ..machines import MachineModel, machine_profiles
+from ..machines import MachineModel
 from ..obs.ledger import RunManifest, _utc_now
 from ..power.frequency import FrequencyPolicy
 from ..runtime.profiler import replay_stream
@@ -43,10 +42,12 @@ def compare_machines(workloads: Sequence[Workload],
     """Profile ``workloads`` once each; schedule on every machine.
 
     Returns a JSON-able report (render with
-    :func:`render_machines_report`).  A workload that records a
-    non-replayable phase falls back to re-profiling for homogeneous
-    machines and marks heterogeneous columns as skipped (their
-    per-phase cache placement exists only on the replay path).
+    :func:`render_machines_report`).  A homogeneous machine whose
+    config is the recording's own reuses the recorded profiles.  A
+    workload that records a non-replayable phase falls back to
+    re-profiling for the other homogeneous machines and marks
+    heterogeneous columns as skipped (their per-phase cache placement
+    exists only on the replay path).
     """
     names = [n.lower() for n in (machine_names
                                  or MachineModel.registered_names())]
@@ -74,18 +75,16 @@ def compare_machines(workloads: Sequence[Workload],
             "machines": {},
         }
         for name, machine in machines:
-            if replayed:
-                if machine.heterogeneous:
-                    profiles = machine_profiles(store, machine)
-                elif machine.config == base:
-                    profiles = run.profiles
-                else:
-                    profiles = {
-                        scheme: replay_stream(
-                            store.schemes[scheme], scheme, machine.config
-                        )
-                        for scheme in run.profiles
-                    }
+            if not machine.heterogeneous and machine.config == base:
+                profiles = run.profiles
+                source = "replay" if replayed else "reprofile"
+            elif replayed:
+                profiles = {
+                    scheme: replay_stream(
+                        store.schemes[scheme], scheme, machine
+                    )
+                    for scheme in run.profiles
+                }
                 source = "replay"
             elif machine.heterogeneous:
                 doc["machines"][name] = {

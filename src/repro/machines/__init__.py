@@ -5,9 +5,10 @@ Public surface:
 * :class:`MachineModel` / :class:`CoreType` / :class:`Transition` with
   the :func:`dvfs` and :func:`migrate` constructors (``model``);
 * the registered catalog — ``sandybridge``, ``biglittle``, ``ideal`` —
-  resolved via :meth:`MachineModel.from_name` (``catalog``);
-* :func:`machine_stream` / :func:`machine_profiles`, the heterogeneous
-  trace-replay path (``replay``).
+  resolved via :meth:`MachineModel.from_name` (``catalog``).
+
+Recordings replay on any machine through the one trace-replay driver,
+:func:`repro.runtime.profiler.replay_stream`.
 
 Importing this package registers the catalog.
 """
@@ -28,7 +29,6 @@ from .catalog import (
     little_operating_points,
     sandybridge_machine,
 )
-from .replay import machine_profiles, machine_stream
 
 __all__ = [
     "BIGLITTLE_MIGRATION_NS",
@@ -41,8 +41,6 @@ __all__ = [
     "ideal_machine",
     "little_config",
     "little_operating_points",
-    "machine_profiles",
-    "machine_stream",
     "migrate",
     "sandybridge_machine",
 ]

@@ -145,13 +145,14 @@ class MachineModel:
 
         Decoupled schemes (``dae``/``manual``) split phases across the
         declared (or ``override``) placement; coupled schemes pin both
-        phases to the execute type.
+        phases to the execute type.  ``scheme`` is a
+        :class:`~repro.runtime.task.Scheme` or its plain string value.
         """
         access_name, execute_name = override or (
             self.access_type, self.execute_type
         )
         execute = self.type_named(execute_name)
-        if str(scheme) in ("dae", "manual"):
+        if scheme in ("dae", "manual"):
             return self.type_named(access_name), execute
         return execute, execute
 

@@ -2,6 +2,9 @@
 
 Each phase is interpreted into a flat event list, which is then
 replayed through the core's caches (:func:`repro.sim.replay.replay_phase`).
+:func:`replay_stream` is the one trace-replay driver: it re-simulates a
+recorded stream on any machine, homogeneous or heterogeneous, without
+interpreting anything.
 
 This is the stand-in for the paper's profiling runs on real hardware
 ("we run all the applications at all available frequencies and profile
@@ -35,8 +38,9 @@ from ..interp.trace import (
     TraceStore,
     pack_events,
 )
+from ..machines.model import MachineModel, homogeneous_machine
 from ..obs.events import get_collector
-from ..sim.cache import AccessCounts, MachineCaches
+from ..sim.cache import AccessCounts, Cache, CoreCaches, MachineCaches
 from ..sim.config import MachineConfig
 from ..sim.replay import filter_private, replay_phase, replay_shared
 from ..sim.timing import PhaseProfile
@@ -359,28 +363,38 @@ class TaskStreamProfiler:
 
 
 def replay_stream(records: list[TaskTrace], scheme: str,
-                  config: Optional[MachineConfig] = None, *,
+                  machine: Union[MachineModel, MachineConfig, None] = None,
+                  placement: Optional[tuple[str, str]] = None, *,
                   memo: Optional[dict] = None) -> StreamProfile:
-    """Re-simulate one recorded scheme under ``config`` — replay only.
+    """Re-simulate one recorded scheme on ``machine`` — replay only.
 
-    The trace-backed ablation path: every phase of every task is pushed
-    through a *fresh* :class:`MachineCaches` built from ``config``, with
-    zero interpretation.  The event streams are machine-config-invariant
-    (the interpreter never sees the cache model), so this yields exactly
-    the :class:`StreamProfile` a full profiling run under ``config``
-    would — the differential ablation test pins that — in a fraction of
-    the time.
+    The one trace-replay driver.  The event streams are
+    machine-invariant (the interpreter never sees the cache model), so
+    pushing every phase through *fresh* caches yields exactly the
+    :class:`StreamProfile` a full profiling run on ``machine`` would,
+    with zero interpretation.
+
+    ``machine`` is a :class:`~repro.machines.model.MachineModel` or a
+    :class:`MachineConfig` (default ``MachineConfig()``), the
+    one-cluster machine; ``placement`` overrides the declared (access,
+    execute) core types, as the tuner's placement search does.  Each
+    slot holds one :class:`~repro.sim.cache.CoreCaches` per placed type
+    over one LLC built from the execute type's, and a ``flush``-ing
+    migration cold-starts the privates a phase lands on when the slot
+    crosses clusters.  When the placed configs are equal the slot uses
+    the execute type only, with ``execute_type.config.cores`` slots —
+    the scheduler's collapse rule.
 
     The replay runs in the two stages of :mod:`repro.sim.replay`:
-    :func:`~repro.sim.replay.filter_private` over the whole stream
-    (each task on its round-robin core), then
-    :func:`~repro.sim.replay.replay_shared` over the L2-miss
-    substreams, in task order.  ``memo`` is an optional caller-owned
-    dict of stage-1 results for ``records``, keyed by the private
-    geometry — ``cores`` (the round-robin task-to-core map) and the
-    ``size_bytes``, ``ways`` and ``line_bytes`` of L1 and L2: on a hit
-    only stage 2 runs, against a fresh LLC and fresh stream windows,
-    so a sweep over LLC-side parameters filters L1/L2 once per
+    :func:`~repro.sim.replay.filter_private` over the whole stream in
+    task order (flushes applied and flagged per phase), then
+    :func:`~repro.sim.replay.replay_shared` in task order, clearing the
+    stream-miss window — stage-2 state — on each flagged phase.
+    ``memo`` is an optional caller-owned dict of stage-1 results for
+    ``records``, keyed by the slot count, the flush flag and each
+    placed type's name and L1/L2 ``size_bytes``, ``ways`` and
+    ``line_bytes``: on a hit only stage 2 runs, against a fresh LLC and
+    fresh stream windows, so an LLC-side sweep filters L1/L2 once per
     recording.  One memo serves one ``records`` list; handing it
     another raises :class:`ValueError`.
 
@@ -388,17 +402,36 @@ def replay_stream(records: list[TaskTrace], scheme: str,
     (``PhaseTrace.data is None``); callers should fall back to full
     re-interpretation (``TraceStore.fully_replayable`` pre-checks this).
     """
-    config = config or MachineConfig()
-    caches = MachineCaches(config)
-    # Everything stage 1 depends on: the task-to-core map and L1/L2.
-    key = (
-        config.cores,
-        config.l1.size_bytes, config.l1.ways, config.l1.line_bytes,
-        config.l2.size_bytes, config.l2.ways, config.l2.line_bytes,
+    if not isinstance(machine, MachineModel):
+        machine = homogeneous_machine("config", machine or MachineConfig())
+    access_type, execute_type = machine.placement(scheme, placement)
+    if access_type.config == execute_type.config:
+        placed = (execute_type,)
+        width = execute_type.config.cores
+        flush = False
+    else:
+        placed = (access_type, execute_type)
+        width = machine.slots(scheme, placement)
+        flush = (machine.transition.kind == "migrate"
+                 and machine.transition.flush)
+    llc = Cache(execute_type.config.llc)
+    slots = []
+    for _ in range(width):
+        cores = [CoreCaches(core_type.config, llc) for core_type in placed]
+        slots.append((cores[0], cores[-1]))
+    # Everything stage 1 depends on: the task-to-slot map, the flush
+    # rule and each placed type's L1/L2.
+    key = (width, flush) + tuple(
+        (core_type.name,
+         core_type.config.l1.size_bytes, core_type.config.l1.ways,
+         core_type.config.l1.line_bytes,
+         core_type.config.l2.size_bytes, core_type.config.l2.ways,
+         core_type.config.l2.line_bytes)
+        for core_type in placed
     )
     entry = memo.get(key) if memo is not None else None
     if entry is None:
-        entry = (records, _filter_stream(records, scheme, caches))
+        entry = (records, _filter_stream(records, scheme, slots, flush))
         if memo is not None:
             memo[key] = entry
     elif entry[0] is not records:
@@ -408,13 +441,16 @@ def replay_stream(records: list[TaskTrace], scheme: str,
     filtered = entry[1]
     result = StreamProfile(scheme=scheme)
     for index, (task_trace, phases) in enumerate(zip(records, filtered)):
-        core = caches.cores[index % config.cores]
         profiles = []
-        for phase_trace, private in zip(
-                (task_trace.access, task_trace.execute), phases):
-            if private is None:
+        for phase_trace, core, phase in zip(
+                (task_trace.access, task_trace.execute),
+                slots[index % width], phases):
+            if phase is None:
                 profiles.append(None)
                 continue
+            private, migrated = phase
+            if migrated:
+                core._recent_misses.clear()
             counts = AccessCounts()
             replay_shared(core, private, counts)
             profiles.append(PhaseProfile(
@@ -429,23 +465,25 @@ def replay_stream(records: list[TaskTrace], scheme: str,
             access=access_profile,
         ))
     result.mru_shortcircuits = sum(
-        private.mru_hits for phases in filtered
-        for private in phases if private is not None
+        phase[0].mru_hits for phases in filtered
+        for phase in phases if phase is not None
     )
     return result
 
 
-def _filter_stream(records: list[TaskTrace], scheme: str,
-                   caches: MachineCaches) -> list:
+def _filter_stream(records: list[TaskTrace], scheme: str, slots: list,
+                   flush: bool) -> list:
     """Stage 1 of :func:`replay_stream`: per task, the
-    ``(access, execute)`` :class:`~repro.sim.replay.PrivateFiltered`
-    pair (``None`` for an absent phase)."""
-    cores = caches.cores
+    ``(access, execute)`` pair of ``(PrivateFiltered, migrated)``
+    (``None`` for an absent phase), where ``migrated`` says the phase
+    flushed its core's privates on entering the slot's other cluster."""
+    resident: list = [None] * len(slots)
     filtered = []
     for index, task_trace in enumerate(records):
-        core = cores[index % len(cores)]
+        slot = index % len(slots)
         phases = []
-        for phase_trace in (task_trace.access, task_trace.execute):
+        for phase_trace, core in zip(
+                (task_trace.access, task_trace.execute), slots[slot]):
             if phase_trace is None:
                 phases.append(None)
                 continue
@@ -455,6 +493,10 @@ def _filter_stream(records: list[TaskTrace], scheme: str,
                     "phase; re-profile this configuration instead"
                     % (task_trace.name, scheme)
                 )
-            phases.append(filter_private(core, phase_trace.data))
+            migrated = flush and resident[slot] not in (None, core)
+            if migrated:
+                core.flush_private()
+            resident[slot] = core
+            phases.append((filter_private(core, phase_trace.data), migrated))
         filtered.append(tuple(phases))
     return filtered

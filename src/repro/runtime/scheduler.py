@@ -24,8 +24,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional, Union
 
+from ..machines.model import CoreType, MachineModel
 from ..obs.events import get_collector
 from ..obs.timeline import Timeline
 from ..power.frequency import FrequencyPolicy
@@ -39,9 +40,6 @@ from ..power.model import (
 )
 from ..sim.config import MachineConfig, OperatingPoint
 from .task import Scheme, TaskProfile
-
-if TYPE_CHECKING:  # avoids a runtime import cycle via machines.replay
-    from ..machines.model import CoreType, MachineModel
 
 
 @dataclass
@@ -142,7 +140,7 @@ class _CoreState:
     clock_ns: float = 0.0
     point: Optional[OperatingPoint] = None
     queue: deque = field(default_factory=deque)
-    core_type: Optional["CoreType"] = None
+    core_type: Optional[CoreType] = None
 
 
 class DAEScheduler:
@@ -156,7 +154,7 @@ class DAEScheduler:
     sleep_power_w: float = 0.15
 
     def __init__(self, config: Optional[MachineConfig] = None,
-                 machine: Optional["MachineModel"] = None,
+                 machine: Optional[MachineModel] = None,
                  placement: Optional[tuple] = None):
         """``config`` alone reproduces the homogeneous scheduler.
 
@@ -533,7 +531,7 @@ class DAEScheduler:
         buckets.task_ns += time
         buckets.task_nj += breakdown.energy_nj
 
-    def _place(self, core: _CoreState, target: "CoreType",
+    def _place(self, core: _CoreState, target: CoreType,
                point: OperatingPoint, result: ScheduleResult,
                timeline: Optional[Timeline],
                hide_ns: float = 0.0) -> None:

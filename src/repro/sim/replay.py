@@ -2,8 +2,11 @@
 
 A flat ``(kind, address, size)`` event list — a phase the interpreter
 just recorded, or a packed trace (:mod:`repro.interp.trace`) recorded
-earlier — reaches the cache model only through this module, split at
-the private/shared boundary:
+earlier — reaches the cache model only through this module: while
+profiling via :func:`replay_phase`, and when a whole recording is
+re-simulated on a machine via the one trace-replay driver,
+:func:`~repro.runtime.profiler.replay_stream`.  Both are split at the
+private/shared boundary:
 
 * :func:`filter_private` (stage 1) runs the MRU same-line filter, the
   L1 and the L2 of one core, and returns a :class:`PrivateFiltered`:
@@ -20,7 +23,12 @@ miss substream, depends only on the private geometry and the core's
 earlier events — never on the LLC.  A caller replaying one recording
 under several LLC configurations can therefore run stage 1 once and
 stage 2 per configuration
-(:func:`~repro.runtime.profiler.replay_stream`'s ``memo``).
+(:func:`~repro.runtime.profiler.replay_stream`'s ``memo``).  A
+migration flush (:meth:`~repro.sim.cache.CoreCaches.flush_private`)
+clears state on both sides of the split — L1/L2 and the MRU line in
+stage 1, the stream-miss window in stage 2 — so a driver that applies
+it in stage 1 must clear the window again at the same phase in
+stage 2.
 
 Both stages bind every piece of hot state to a local — set lists,
 geometry, the MRU line, the stream-miss window — and iterate the flat

@@ -39,6 +39,7 @@ from ..engine.cache import _config_material, cache_key, key_material
 from ..engine.products import phase_from_dict, phase_to_dict
 from ..obs.events import get_collector
 from ..power.frequency import FrequencyPolicy
+from ..runtime.profiler import replay_stream
 from ..runtime.scheduler import DAEScheduler, ScheduleResult
 from ..runtime.task import Scheme, TaskProfile, TaskRef
 from ..sim.config import MachineConfig, OperatingPoint
@@ -746,7 +747,6 @@ def _tune_heterogeneous(machine, workload, *, objective, scheme, scale,
     """
     from ..engine.products import profile_workload
     from ..interp.trace import TraceStore
-    from ..machines.replay import machine_stream
 
     objective = resolve_objective(objective)
     scheme = Scheme.coerce(scheme, context="tune_workload")
@@ -766,10 +766,11 @@ def _tune_heterogeneous(machine, workload, *, objective, scheme, scale,
         resolved = spec.resolve_workloads()[0]
         span.args["workload"] = resolved.name
         store = TraceStore()
-        profile_workload(
+        # Profiling on the machine replays the declared placement.
+        declared_tasks = profile_workload(
             resolved, scale, options=options, schemes=(stream,),
             interp=interp, trace_store=store, machine=machine,
-        )
+        ).profiles[stream.value].tasks
         records = store.schemes[stream.value]
 
         declared = (machine.access_type, machine.execute_type)
@@ -784,7 +785,7 @@ def _tune_heterogeneous(machine, workload, *, objective, scheme, scale,
         memo: dict = {}
         best_key = None
         for rank, placed in enumerate(placements):
-            tasks = machine_stream(
+            tasks = declared_tasks if placed == declared else replay_stream(
                 records, stream.value, machine, placed
             ).tasks
             access_cfg = machine.placement(run_scheme.value, placed)[0].config
@@ -831,12 +832,9 @@ def _tune_heterogeneous(machine, workload, *, objective, scheme, scale,
 
         # The paper's per-phase baseline and the pinned reference
         # policies, all under the declared placement.
-        default_tasks = machine_stream(
-            records, stream.value, machine, declared
-        ).tasks
         scheduler = DAEScheduler(machine=machine, placement=declared)
         result = scheduler.run(
-            default_tasks, run_scheme, _PhaseLocalPolicy(objective, stats),
+            declared_tasks, run_scheme, _PhaseLocalPolicy(objective, stats),
             record_timeline=False,
         )
         stats.schedule_evals += 1

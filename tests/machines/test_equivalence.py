@@ -18,7 +18,6 @@ from repro.machines import (
     migrate,
     sandybridge_machine,
 )
-from repro.machines.replay import machine_stream
 from repro.power.frequency import FrequencyPolicy
 from repro.runtime import DAEScheduler, TaskProfile
 from repro.runtime.profiler import replay_stream
@@ -147,7 +146,7 @@ class TestProfilingEquivalence:
         assert store.fully_replayable()
         degenerate = _degenerate(config)
         for scheme in SCHEMES:
-            via_machine = machine_stream(
+            via_machine = replay_stream(
                 store.schemes[scheme], scheme, degenerate,
             )
             via_replay = replay_stream(

@@ -17,6 +17,7 @@ from repro.machines import (
     migrate,
     sandybridge_machine,
 )
+from repro.runtime.task import Scheme
 from repro.sim.config import CacheConfig, MachineConfig, MachineConfigError
 
 
@@ -85,6 +86,15 @@ class TestShape:
             assert (access.name, execute.name) == ("little", "big")
         access, execute = machine.placement("cae")
         assert (access.name, execute.name) == ("big", "big")
+
+    def test_placement_accepts_scheme_members(self):
+        machine = biglittle_machine()
+        for scheme in Scheme:
+            assert (machine.placement(scheme)
+                    == machine.placement(scheme.value))
+            assert machine.slots(scheme) == machine.slots(scheme.value)
+        access, _ = machine.placement(Scheme.DAE)
+        assert access.name == "little"
 
     def test_placement_override(self):
         machine = biglittle_machine()
