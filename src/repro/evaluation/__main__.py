@@ -159,7 +159,9 @@ def _build_parser() -> argparse.ArgumentParser:
     tune.add_argument(
         "--machine", metavar="NAME", default=None,
         help="tune on a registered machine model; a heterogeneous one "
-             "(e.g. biglittle) searches placements × per-type points",
+             "(e.g. biglittle) adds the execute->execute and "
+             "access->access placements, each swept exhaustively over "
+             "its two types' points (--jobs fans the sweep out)",
     )
     ablate = sub.add_parser(
         "ablate", parents=[common],

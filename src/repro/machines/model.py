@@ -115,8 +115,8 @@ class MachineModel:
         """True when the placed types differ *behaviourally*.
 
         Two types with equal configs are indistinguishable to the
-        timing, cache and power models, so a machine built from them
-        collapses to the homogeneous code paths (and the
+        timing, cache and power models, so a placement of them
+        collapses to its execute type, the one-type case (and the
         ``machine-invariance`` oracle holds by construction).
         """
         access = self.type_named(self.access_type)

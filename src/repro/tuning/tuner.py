@@ -36,7 +36,13 @@ from typing import List, Optional, Union
 
 from ..engine import ExperimentSpec, ProfileCache, run_experiment
 from ..engine.cache import _config_material, cache_key, key_material
-from ..engine.products import phase_from_dict, phase_to_dict
+from ..engine.products import (
+    phase_from_dict,
+    phase_to_dict,
+    profile_workload,
+)
+from ..interp.trace import TraceStore
+from ..machines.model import MachineModel, homogeneous_machine
 from ..obs.events import get_collector
 from ..power.frequency import FrequencyPolicy
 from ..runtime.profiler import replay_stream
@@ -319,8 +325,9 @@ def _result_payload(result: ScheduleResult) -> dict:
 
 def _candidate_worker(args: tuple) -> list:
     """Top-level (picklable) pool worker: schedule a chunk of candidate
-    pairs over the slim task payload; return one payload per pair."""
-    tasks_doc, scheme_value, config, pair_keys = args
+    pairs over the slim task payload on one (machine, placement);
+    return one payload per pair."""
+    tasks_doc, scheme_value, machine, placement, pair_keys = args
     tasks = [
         TaskProfile(
             instance=TaskRef(name=doc["name"]),
@@ -330,7 +337,7 @@ def _candidate_worker(args: tuple) -> list:
         )
         for doc in tasks_doc
     ]
-    scheduler = DAEScheduler(config)
+    scheduler = DAEScheduler(machine=machine, placement=placement)
     out = []
     for access_f, access_v, execute_f, execute_v in pair_keys:
         policy = TunedPolicy(
@@ -345,28 +352,39 @@ def _candidate_worker(args: tuple) -> list:
 
 
 class _CandidateEvaluator:
-    """Schedules candidate pairs with memoization, persistent caching,
-    and optional process-pool fan-out."""
+    """Schedules candidate pairs on one (machine, placement) with
+    memoization, persistent caching, and optional process-pool fan-out.
+    On a heterogeneous machine candidate labels name the placement."""
 
     def __init__(self, tasks: List[TaskProfile], run_scheme: Scheme,
-                 config: MachineConfig, objective: Objective,
-                 workload_name: str, stats: TuningStats,
+                 machine: MachineModel, placement: tuple[str, str],
+                 objective: Objective, workload_name: str,
+                 stats: TuningStats,
                  cache: Optional[ProfileCache] = None,
                  material_base: Optional[dict] = None,
                  jobs: int = 1):
         self.tasks = tasks
         self.run_scheme = run_scheme
-        self.config = config
+        self.machine = machine
+        self.placement = placement
+        #: The placed types' configs: the access and execute tables.
+        self.access_config, self.execute_config = (
+            core_type.config
+            for core_type in machine.placement(run_scheme.value, placement)
+        )
         self.objective = objective
         self.workload_name = workload_name
         self.stats = stats
         self.cache = cache if material_base is not None else None
         self.material_base = material_base
         self.jobs = jobs
+        self.label_prefix = (
+            "%s->%s " % placement if machine.heterogeneous else ""
+        )
         self.collector = get_collector()
         self._memo: dict = {}
         self._tasks_doc: Optional[list] = None
-        self._scheduler = DAEScheduler(config)
+        self._scheduler = DAEScheduler(machine=machine, placement=placement)
 
     # -- public API ------------------------------------------------------------
 
@@ -425,6 +443,15 @@ class _CandidateEvaluator:
         """Every distinct evaluated candidate, sorted by pair key."""
         return [self._memo[key] for key in sorted(self._memo)]
 
+    def grid(self) -> List[CandidatePair]:
+        """The placed tables' full cross product, in ascending order."""
+        return [
+            CandidatePair(access, execute)
+            for access in sorted_points(self.access_config.operating_points)
+            for execute in sorted_points(
+                self.execute_config.operating_points)
+        ]
+
     # -- computation -----------------------------------------------------------
 
     def _compute(self, pairs: List[CandidatePair]) -> List[dict]:
@@ -456,7 +483,7 @@ class _CandidateEvaluator:
                 futures = [
                     executor.submit(_candidate_worker, (
                         self._tasks_payload(), self.run_scheme.value,
-                        self.config,
+                        self.machine, self.placement,
                         [pair.key[:1] + (pair.access.voltage,)
                          + pair.key[1:] + (pair.execute.voltage,)
                          for pair in chunk],
@@ -496,7 +523,7 @@ class _CandidateEvaluator:
         energy_j = payload["energy_nj"] * 1e-9
         value = self.objective.evaluate(time_s, energy_j)
         return TuningCandidate(
-            label=pair_label(pair),
+            label=self.label_prefix + pair_label(pair),
             pair=pair,
             time_ns=payload["time_ns"],
             energy_nj=payload["energy_nj"],
@@ -592,49 +619,49 @@ def tune_workload(workload: Union[Workload, str, type], *,
                   machine=None) -> TuningResult:
     """Auto-tune ``workload``'s operating points under ``objective``.
 
-    ``strategy`` is one of :data:`STRATEGIES` or ``"all"``.  Profiling
-    goes through the evaluation engine (``jobs`` worker processes,
-    persistent cache); candidate schedules are memoized, persistently
-    cached per point pair, and fanned through a process pool.  The
-    winning pair is installed as the ``"tuned"`` frequency policy
-    unless ``install=False`` (or no candidate is feasible).  ``interp``
-    picks the profiling interpreter (``None``: ``$REPRO_INTERP``, then
-    ``"replay"``); it cannot change any profile, only the wall-clock
-    cost of the prefetch-stream profiling runs.
+    ``strategy`` is one of :data:`STRATEGIES` or ``"all"``.  Candidate
+    schedules are memoized and fanned through a process pool (``jobs``
+    workers).  The winning pair is installed as the ``"tuned"``
+    frequency policy unless ``install=False`` (or no candidate is
+    feasible).  ``interp`` picks the profiling interpreter (``None``:
+    ``$REPRO_INTERP``, then ``"replay"``); it cannot change any profile,
+    only the wall-clock cost of the prefetch-stream profiling runs.
 
     ``machine`` names a registered
     :class:`~repro.machines.model.MachineModel` (or passes one
-    directly) and excludes ``config``.  A homogeneous machine tunes
-    exactly like its config.  A heterogeneous one switches to the
-    placement search: every (access type, execute type) assignment ×
-    the cross product of the two types' operating-point tables,
-    scheduled on the machine (migrations charged), exhaustively —
-    the continuous strategies assume one table and do not apply.
+    directly) and excludes ``config``; ``config`` is tuned as the
+    one-type machine.  Every tune searches a list of (access type,
+    execute type) placements, and the winner is the lowest
+    ``(value, placement rank, pair)``:
+
+    * a one-type machine places its one type.  Profiling goes through
+      the evaluation engine (``jobs``, persistent cache), candidates
+      are persistently cached per point pair, and every strategy runs;
+    * a heterogeneous machine places the declared pair, then (execute,
+      execute) and (access, access).  The workload is recorded once and
+      replayed per placement; each placement sweeps the cross product
+      of its two types' tables exhaustively (the continuous strategies
+      assume one table, and the candidate cache key does not name a
+      placement, so both stay off).
     """
-    if machine is not None:
-        if config is not None:
-            raise ValueError(
-                "pass either config= or machine=, not both"
-            )
-        if isinstance(machine, str):
-            from ..machines import MachineModel
-            machine = MachineModel.from_name(machine)
-        if machine.heterogeneous:
-            return _tune_heterogeneous(
-                machine, workload, objective=objective, scheme=scheme,
-                scale=scale, options=options, interp=interp,
-                install=install, strategy=strategy,
-            )
-        config = machine.config
-    machine_name = machine.name if machine is not None else None
-    config = config or MachineConfig()
-    objective = resolve_objective(objective)
-    scheme = Scheme.coerce(scheme, context="tune_workload")
+    if machine is not None and config is not None:
+        raise ValueError("pass either config= or machine=, not both")
     if strategy != "all" and strategy not in STRATEGIES:
         raise ValueError(
             "unknown strategy %r; expected 'all' or one of %s"
             % (strategy, ", ".join(STRATEGIES))
         )
+    machine_name = None
+    if machine is None:
+        machine = homogeneous_machine("config", config or MachineConfig())
+    else:
+        if isinstance(machine, str):
+            machine = MachineModel.from_name(machine)
+        machine_name = machine.name
+    heterogeneous = machine.heterogeneous
+    config = machine.config
+    objective = resolve_objective(objective)
+    scheme = Scheme.coerce(scheme, context="tune_workload")
     if strategy == "all":
         selected = STRATEGIES
     elif strategy == "phase-local":
@@ -646,12 +673,21 @@ def tune_workload(workload: Union[Workload, str, type], *,
     stream = Scheme.CAE if scheme is Scheme.CAE else scheme
     run_scheme = Scheme.CAE if scheme is Scheme.CAE else Scheme.DAE
 
+    declared = (machine.access_type, machine.execute_type)
+    placements = [declared]
+    if heterogeneous:
+        placements += [(machine.execute_type,) * 2,
+                       (machine.access_type,) * 2]
+
     collector = get_collector()
     stats = TuningStats()
-    with collector.span("tuning.run", cat="tuning", args={
+    span_args = {
         "objective": objective.spec, "strategy": strategy,
         "scheme": scheme.value, "scale": scale, "jobs": jobs,
-    }) as span:
+    }
+    if machine_name is not None:
+        span_args["machine"] = machine_name
+    with collector.span("tuning.run", cat="tuning", args=span_args) as span:
         spec = ExperimentSpec(
             workloads=(workload,), schemes=(stream,), scale=scale,
             config=config, options=options, jobs=jobs, cache=cache,
@@ -659,44 +695,78 @@ def tune_workload(workload: Union[Workload, str, type], *,
         )
         resolved = spec.resolve_workloads()[0]
         span.args["workload"] = resolved.name
-        engine_result = run_experiment(spec)
-        stats.engine = engine_result.stats.as_dict()
-        run = engine_result[resolved.name]
-        tasks = run.profiles[stream.value].tasks
-
-        profile_material = key_material(
-            resolved, spec.scale, config, spec.options, spec.schemes
-        ) if cache else None
-        evaluator = _CandidateEvaluator(
-            tasks=tasks, run_scheme=run_scheme, config=config,
-            objective=objective, workload_name=resolved.name, stats=stats,
-            cache=ProfileCache(cache_dir) if cache else None,
-            material_base=_candidate_material(
+        material_base = None
+        if heterogeneous:
+            tasks_by_placement = _record_placements(
+                resolved, stream, machine, placements, scale, options,
+                interp,
+            )
+        else:
+            engine_result = run_experiment(spec)
+            stats.engine = engine_result.stats.as_dict()
+            run = engine_result[resolved.name]
+            tasks_by_placement = {
+                declared: run.profiles[stream.value].tasks,
+            }
+            profile_material = key_material(
+                resolved, spec.scale, config, spec.options, spec.schemes
+            ) if cache else None
+            material_base = _candidate_material(
                 profile_material, resolved.name, stream, run_scheme,
                 config, scale,
-            ),
-            jobs=jobs,
-        )
+            )
+        evaluators = [
+            _CandidateEvaluator(
+                tasks=tasks_by_placement[placed], run_scheme=run_scheme,
+                machine=machine, placement=placed, objective=objective,
+                workload_name=resolved.name, stats=stats,
+                cache=(ProfileCache(cache_dir)
+                       if material_base is not None else None),
+                material_base=material_base, jobs=jobs,
+            )
+            for placed in placements
+        ]
+        declared_evaluator = evaluators[0]
 
         phase_local = _phase_local_candidate(
-            tasks, run_scheme, config, objective, stats
+            declared_evaluator.tasks, run_scheme, machine, declared,
+            objective, stats,
         )
-        seed = _phase_local_seed(tasks, config, objective, stats)
-
+        if heterogeneous:
+            searches = [
+                ("placement:%s->%s" % e.placement,
+                 lambda e=e: _sweep_placement(e))
+                for e in evaluators
+            ]
+        else:
+            seed = _phase_local_seed(
+                declared_evaluator.tasks, config, objective, stats
+            )
+            searches = [
+                (name, lambda name=name: _run_strategy(
+                    name, declared_evaluator, seed, phase_local, config,
+                    objective,
+                ))
+                for name in selected
+            ]
         summaries: List[StrategySummary] = []
-        for name in selected:
+        for name, search in searches:
             with collector.span("tuning.search", cat="tuning",
                                 args={"strategy": name}) as search_span:
-                summary = _run_strategy(
-                    name, evaluator, seed, phase_local, config, objective,
-                )
+                summary = search()
                 search_span.args.update(summary.as_dict())
             summaries.append(summary)
 
-        references = _reference_candidates(evaluator, config)
+        references = _reference_candidates(declared_evaluator)
 
-        pair_candidates = evaluator.candidates()
-        best = _select_best(pair_candidates)
+        # Winner: lowest (value, placement rank, pair key); each
+        # placement's best already breaks its own ties on the pair key.
+        bests = [_select_best(e.candidates()) for e in evaluators]
+        rank = min(range(len(bests)), key=lambda i: (bests[i].value, i))
+        best = bests[rank]
+        placement = dict(zip(("access", "execute"), placements[rank])) if (
+            heterogeneous) else None
+        pair_candidates = [c for e in evaluators for c in e.candidates()]
         front = pareto_front(
             [ParetoPoint(c.time_s, c.energy_j, c.label)
              for c in pair_candidates]
@@ -724,167 +794,44 @@ def tune_workload(workload: Union[Workload, str, type], *,
         strategies=summaries, candidates=pair_candidates,
         references=references, front=front, policy=policy,
         installed=installed, stats=stats, machine=machine_name,
+        placement=placement,
     )
 
 
-# -- heterogeneous placement search --------------------------------------------
+def _record_placements(resolved: Workload, stream: Scheme,
+                       machine: MachineModel, placements: list,
+                       scale: int, options: Optional[AccessPhaseOptions],
+                       interp: Optional[str]) -> dict:
+    """Task profiles per placement on a heterogeneous machine.
 
-
-def _tune_heterogeneous(machine, workload, *, objective, scheme, scale,
-                        options, interp, install,
-                        strategy) -> TuningResult:
-    """Placement × per-type point search on a heterogeneous machine.
-
-    The workload is recorded once (trace replay is mandatory on
-    heterogeneous machines) and re-simulated per candidate placement,
-    because a phase's cache profile depends on which cluster's privates
-    it replays through.  Every placement then sweeps the full cross
-    product of the placed types' operating-point tables at schedule
-    level — migrations, break-even guards and power-gated siblings
-    included.  The continuous strategies (golden, descent) assume one
-    table and are skipped; ``strategy`` is recorded as requested but
-    the search is always exhaustive.
+    The workload is recorded once (profiling on the machine replays the
+    declared placement) and the recording is re-simulated for every
+    other placement, because a phase's cache profile depends on which
+    type's private caches it replays through.
     """
-    from ..engine.products import profile_workload
-    from ..interp.trace import TraceStore
-
-    objective = resolve_objective(objective)
-    scheme = Scheme.coerce(scheme, context="tune_workload")
-    stream = Scheme.CAE if scheme is Scheme.CAE else scheme
-    run_scheme = Scheme.CAE if scheme is Scheme.CAE else Scheme.DAE
-
-    collector = get_collector()
-    stats = TuningStats()
-    with collector.span("tuning.run", cat="tuning", args={
-        "objective": objective.spec, "strategy": "placement-exhaustive",
-        "scheme": scheme.value, "scale": scale, "machine": machine.name,
-    }) as span:
-        spec = ExperimentSpec(
-            workloads=(workload,), schemes=(stream,), scale=scale,
-            options=options, cache=False, interp=interp,
-        )
-        resolved = spec.resolve_workloads()[0]
-        span.args["workload"] = resolved.name
-        store = TraceStore()
-        # Profiling on the machine replays the declared placement.
-        declared_tasks = profile_workload(
+    store = TraceStore()
+    declared = placements[0]
+    tasks = {
+        declared: profile_workload(
             resolved, scale, options=options, schemes=(stream,),
             interp=interp, trace_store=store, machine=machine,
-        ).profiles[stream.value].tasks
-        records = store.schemes[stream.value]
-
-        declared = (machine.access_type, machine.execute_type)
-        placements = [declared]
-        for candidate in ((machine.execute_type, machine.execute_type),
-                          (machine.access_type, machine.access_type)):
-            if candidate not in placements:
-                placements.append(candidate)
-
-        candidates: List[TuningCandidate] = []
-        summaries: List[StrategySummary] = []
-        memo: dict = {}
-        best_key = None
-        for rank, placed in enumerate(placements):
-            tasks = declared_tasks if placed == declared else replay_stream(
-                records, stream.value, machine, placed
-            ).tasks
-            access_cfg = machine.placement(run_scheme.value, placed)[0].config
-            execute_cfg = machine.placement(run_scheme.value, placed)[1].config
-            scheduler = DAEScheduler(machine=machine, placement=placed)
-            placement_label = "%s->%s" % placed
-            placement_best = None
-            for access in sorted_points(access_cfg.operating_points):
-                for execute in sorted_points(execute_cfg.operating_points):
-                    pair = CandidatePair(access=access, execute=execute)
-                    stats.requests += 1
-                    stats.schedule_evals += 1
-                    stats.serial_evals += 1
-                    result = scheduler.run(
-                        tasks, run_scheme, TunedPolicy.from_pair(pair),
-                        record_timeline=False,
-                    )
-                    value = objective.value(result)
-                    candidate = TuningCandidate(
-                        label="%s %s" % (placement_label, pair_label(pair)),
-                        pair=pair,
-                        time_ns=result.time_ns,
-                        energy_nj=result.energy_nj,
-                        value=value,
-                        feasible=value != float("inf"),
-                        transitions=result.transitions,
-                        steals=result.steals,
-                    )
-                    candidates.append(candidate)
-                    memo[(placed, pair.key)] = candidate
-                    key = (value, rank, pair.key)
-                    if placement_best is None or key < placement_best[0]:
-                        placement_best = (key, candidate)
-                    if best_key is None or key < best_key[0]:
-                        best_key = (key, candidate, placed)
-            summaries.append(StrategySummary(
-                name="placement:%s" % placement_label,
-                evaluations=(len(access_cfg.operating_points)
-                             * len(execute_cfg.operating_points)),
-                best_label=placement_best[1].label,
-                best_value=placement_best[1].value,
-                detail="exhaustive over the placed types' tables",
-            ))
-
-        # The paper's per-phase baseline and the pinned reference
-        # policies, all under the declared placement.
-        scheduler = DAEScheduler(machine=machine, placement=declared)
-        result = scheduler.run(
-            declared_tasks, run_scheme, _PhaseLocalPolicy(objective, stats),
-            record_timeline=False,
-        )
-        stats.schedule_evals += 1
-        stats.serial_evals += 1
-        value = objective.value(result)
-        phase_local = TuningCandidate(
-            label="phase-local", pair=None,
-            time_ns=result.time_ns, energy_nj=result.energy_nj,
-            value=value, feasible=value != float("inf"),
-            transitions=result.transitions, steals=result.steals,
-        )
-        access_cfg = machine.placement(run_scheme.value, declared)[0].config
-        execute_cfg = machine.placement(run_scheme.value, declared)[1].config
-        references = {}
-        for label, access_of, execute_of in _REFERENCE_PAIRS:
-            pair = CandidatePair(access=access_of(access_cfg),
-                                 execute=execute_of(execute_cfg))
-            references[label] = memo[(declared, pair.key)]
-
-        best = best_key[1]
-        placement = {"access": best_key[2][0], "execute": best_key[2][1]}
-        front = pareto_front(
-            [ParetoPoint(c.time_s, c.energy_j, c.label) for c in candidates]
-            + [ParetoPoint(phase_local.time_s, phase_local.energy_j,
-                           phase_local.label)]
-        )
-        policy = TunedPolicy.from_pair(best.pair)
-        installed = False
-        if install and best.feasible:
-            install_tuned_policy(policy)
-            installed = True
-        span.args.update(stats.as_dict())
-
-    return TuningResult(
-        workload=resolved.name, scheme=scheme.value,
-        objective=objective.spec, strategy=strategy, scale=scale,
-        best=best, phase_local=phase_local, strategies=summaries,
-        candidates=candidates, references=references, front=front,
-        policy=policy, installed=installed, stats=stats,
-        machine=machine.name, placement=placement,
-    )
+        ).profiles[stream.value].tasks,
+    }
+    records = store.schemes[stream.value]
+    for placed in placements[1:]:
+        tasks[placed] = replay_stream(
+            records, stream.value, machine, placed
+        ).tasks
+    return tasks
 
 
 # -- tuning internals ----------------------------------------------------------
 
 
-def _phase_local_candidate(tasks, run_scheme, config, objective,
-                           stats) -> TuningCandidate:
+def _phase_local_candidate(tasks, run_scheme, machine, placement,
+                           objective, stats) -> TuningCandidate:
     """Schedule the paper's baseline: per-task, per-phase grid argmin."""
-    scheduler = DAEScheduler(config)
+    scheduler = DAEScheduler(machine=machine, placement=placement)
     result = scheduler.run(
         tasks, run_scheme, _PhaseLocalPolicy(objective, stats),
         record_timeline=False,
@@ -932,11 +879,7 @@ def _run_strategy(name: str, evaluator: _CandidateEvaluator,
             detail="per-phase grid (Section 6.1 baseline)",
         )
     if name == "exhaustive":
-        evaluator.prefetch([
-            CandidatePair(access, execute)
-            for access in sorted_points(config.operating_points)
-            for execute in sorted_points(config.operating_points)
-        ])
+        evaluator.prefetch(evaluator.grid())
         outcome = grid_search_pair(evaluator.value, config.operating_points)
         return _summary_from_outcome(name, outcome)
     if name == "golden":
@@ -996,13 +939,27 @@ def _summary_from_outcome(name: str,
     )
 
 
-def _reference_candidates(evaluator: _CandidateEvaluator,
-                          config: MachineConfig) -> dict:
-    """The named baseline policies as labelled pair candidates."""
+def _sweep_placement(evaluator: _CandidateEvaluator) -> StrategySummary:
+    """One placement's exhaustive sweep over its two placed tables."""
+    grid = evaluator.grid()
+    evaluator.prefetch(grid)
+    best = _select_best(evaluator.candidates())
+    return StrategySummary(
+        name="placement:%s->%s" % evaluator.placement,
+        evaluations=len(grid),
+        best_label=best.label,
+        best_value=best.value,
+        detail="exhaustive over the placed types' tables",
+    )
+
+
+def _reference_candidates(evaluator: _CandidateEvaluator) -> dict:
+    """The named baseline policies as labelled pair candidates, on the
+    evaluator's (machine, placement)."""
     references = {}
     for label, access_of, execute_of in _REFERENCE_PAIRS:
-        pair = CandidatePair(access=access_of(config),
-                             execute=execute_of(config))
+        pair = CandidatePair(access=access_of(evaluator.access_config),
+                             execute=execute_of(evaluator.execute_config))
         references[label] = evaluator.evaluate(pair)
     return references
 

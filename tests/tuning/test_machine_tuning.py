@@ -85,3 +85,29 @@ class TestBigLittleTuning:
             tune_workload(
                 TinyWorkload(), machine="cray1", install=False,
             )
+
+    def test_unknown_strategy_raises_on_a_heterogeneous_machine(self):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            tune_workload(
+                TinyWorkload(), machine="biglittle",
+                strategy="no-such-strategy", cache=False, install=False,
+            )
+
+    def test_candidates_fan_out_through_the_pool(self, biglittle_result):
+        pooled = tune_workload(
+            TinyWorkload(), machine="biglittle", cache=False,
+            install=False, jobs=2,
+        )
+        assert [c.as_dict() for c in pooled.candidates] == [
+            c.as_dict() for c in biglittle_result.candidates
+        ]
+        assert pooled.best.as_dict() == biglittle_result.best.as_dict()
+        assert pooled.placement == biglittle_result.placement
+        assert pooled.stats.pool_evals > 0
+        assert (pooled.stats.schedule_evals
+                == biglittle_result.stats.schedule_evals)
+
+    def test_schedule_evals_count_candidates_only(self, biglittle_result):
+        stats = biglittle_result.stats
+        assert stats.schedule_evals == stats.requests == len(
+            biglittle_result.candidates)
