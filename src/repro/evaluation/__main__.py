@@ -160,8 +160,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--machine", metavar="NAME", default=None,
         help="tune on a registered machine model; a heterogeneous one "
              "(e.g. biglittle) adds the execute->execute and "
-             "access->access placements, each swept exhaustively over "
-             "its two types' points (--jobs fans the sweep out)",
+             "access->access placements, and --strategy runs on each "
+             "over its placed types' points",
     )
     ablate = sub.add_parser(
         "ablate", parents=[common],

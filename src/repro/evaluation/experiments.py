@@ -99,15 +99,6 @@ def run_all(scale: int = 1, config: Optional[MachineConfig] = None,
     return result
 
 
-def _policy(name: str, config: MachineConfig) -> FrequencyPolicy:
-    """Deprecated: use :meth:`FrequencyPolicy.from_name`."""
-    warn_once(
-        "evaluation._policy",
-        "_policy() is deprecated; use FrequencyPolicy.from_name()",
-    )
-    return FrequencyPolicy.from_name(name, config)
-
-
 def _resolve_policy(policy: Union[FrequencyPolicy, str],
                     config: MachineConfig) -> FrequencyPolicy:
     if isinstance(policy, FrequencyPolicy):

@@ -212,11 +212,15 @@ def coordinate_descent(evaluate: Callable[[CandidatePair], float],
                        max_rounds: int = 16,
                        prefetch: Optional[
                            Callable[[List[CandidatePair]], None]
+                       ] = None,
+                       execute_points: Optional[
+                           Sequence[OperatingPoint]
                        ] = None) -> SearchOutcome:
     """Alternating minimization over the (access, execute) pair.
 
-    Each round scans the access coordinate (execute held fixed), then
-    the execute coordinate, accepting strictly-better moves only; the
+    Each round scans the access coordinate over ``points`` (execute held
+    fixed), then the execute coordinate over ``execute_points`` (default
+    ``points``), accepting strictly-better moves only; the
     descent stops at the first round with no move.  Distinct candidates
     are evaluated once (memoized), so ``evaluations`` measures real
     work and a round that rediscovers known pairs costs nothing.
@@ -232,6 +236,7 @@ def coordinate_descent(evaluate: Callable[[CandidatePair], float],
     baseline guarantees the outcome is never worse than the seed.
     """
     ordered = sorted_points(points)
+    ordered_execute = sorted_points(execute_points or points)
     outcome = SearchOutcome(
         strategy="descent", best_value=float("inf"), evaluations=0
     )
@@ -256,7 +261,7 @@ def coordinate_descent(evaluate: Callable[[CandidatePair], float],
                         for point in ordered]
             else:
                 scan = [CandidatePair(current.access, point)
-                        for point in ordered]
+                        for point in ordered_execute]
             if prefetch is not None:
                 prefetch([pair for pair in scan if pair.key not in memo])
             for candidate in scan:

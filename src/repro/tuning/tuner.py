@@ -7,13 +7,18 @@ stealing and DVFS-transition energy included — under a pluggable
 :class:`~repro.tuning.objectives.Objective`, and installs the winner as
 the ``"tuned"`` frequency policy.
 
+Each selected strategy searches each *placement* — an (access type,
+execute type) pair of the machine's core types, one on a one-type
+machine — with each phase on its placed type's operating points.
+
 Candidate evaluations are themselves engineered like the engine's jobs:
 
 * **memoized** — each distinct (access, execute) pair is scheduled once
-  per process;
+  per placement and process;
 * **persistently cached** — keyed on the candidate point pair plus the
-  same material that keys the profile cache, so a warm rerun re-profiles
-  nothing and re-schedules nothing;
+  same material that keys the profile cache (and, when there are
+  several placements, the machine and the placed type names), so a
+  warm rerun re-schedules nothing;
 * **fanned out** — with ``jobs > 1`` cache-missing candidates are
   scheduled in a ``ProcessPoolExecutor``, collected in submission order
   (byte-identical to the serial path), degrading to serial on any pool
@@ -31,11 +36,16 @@ phase-local baseline.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Union
 
 from ..engine import ExperimentSpec, ProfileCache, run_experiment
-from ..engine.cache import _config_material, cache_key, key_material
+from ..engine.cache import (
+    _config_material,
+    cache_key,
+    key_material,
+    machine_material,
+)
 from ..engine.products import (
     phase_from_dict,
     phase_to_dict,
@@ -45,10 +55,10 @@ from ..interp.trace import TraceStore
 from ..machines.model import MachineModel, homogeneous_machine
 from ..obs.events import get_collector
 from ..power.frequency import FrequencyPolicy
-from ..runtime.profiler import replay_stream
+from ..runtime.profiler import StreamProfile, replay_stream
 from ..runtime.scheduler import DAEScheduler, ScheduleResult
 from ..runtime.task import Scheme, TaskProfile, TaskRef
-from ..sim.config import MachineConfig, OperatingPoint
+from ..sim.config import MachineConfig
 from ..sim.timing import PhaseProfile
 from ..transform.access_phase import AccessPhaseOptions
 from ..workloads import Workload
@@ -57,10 +67,8 @@ from .pareto import ParetoPoint, pareto_front
 from .policy import TunedPolicy, install_tuned_policy
 from .search import (
     CandidatePair,
-    SearchOutcome,
     coordinate_descent,
     golden_section,
-    grid_search_pair,
     grid_search_point,
     nearest_point,
     interpolate_point,
@@ -201,8 +209,9 @@ class TuningResult:
     policy: Optional[TunedPolicy]
     installed: bool
     stats: TuningStats
-    #: Machine-model annotations; ``None`` for plain-config tuning so
-    #: machine-less reports stay byte-identical.
+    #: Machine-model annotations: ``machine`` is ``None`` for
+    #: plain-config tuning and ``placement`` (the winner's resolved type
+    #: names) for one-placement tuning, so those reports stay unchanged.
     machine: Optional[str] = None
     placement: Optional[dict] = None
 
@@ -327,7 +336,7 @@ def _candidate_worker(args: tuple) -> list:
     """Top-level (picklable) pool worker: schedule a chunk of candidate
     pairs over the slim task payload on one (machine, placement);
     return one payload per pair."""
-    tasks_doc, scheme_value, machine, placement, pair_keys = args
+    tasks_doc, scheme_value, machine, placement, pairs = args
     tasks = [
         TaskProfile(
             instance=TaskRef(name=doc["name"]),
@@ -339,13 +348,10 @@ def _candidate_worker(args: tuple) -> list:
     ]
     scheduler = DAEScheduler(machine=machine, placement=placement)
     out = []
-    for access_f, access_v, execute_f, execute_v in pair_keys:
-        policy = TunedPolicy(
-            OperatingPoint(access_f, access_v),
-            OperatingPoint(execute_f, execute_v),
-        )
+    for pair in pairs:
         result = scheduler.run(
-            tasks, Scheme(scheme_value), policy, record_timeline=False
+            tasks, Scheme(scheme_value), TunedPolicy.from_pair(pair),
+            record_timeline=False,
         )
         out.append(_result_payload(result))
     return out
@@ -354,16 +360,18 @@ def _candidate_worker(args: tuple) -> list:
 class _CandidateEvaluator:
     """Schedules candidate pairs on one (machine, placement) with
     memoization, persistent caching, and optional process-pool fan-out.
-    On a heterogeneous machine candidate labels name the placement."""
+    Candidate labels start with ``label_prefix``, which names the
+    placement when a tune searches several."""
 
-    def __init__(self, tasks: List[TaskProfile], run_scheme: Scheme,
+    def __init__(self, stream: StreamProfile, run_scheme: Scheme,
                  machine: MachineModel, placement: tuple[str, str],
                  objective: Objective, workload_name: str,
                  stats: TuningStats,
                  cache: Optional[ProfileCache] = None,
                  material_base: Optional[dict] = None,
-                 jobs: int = 1):
-        self.tasks = tasks
+                 jobs: int = 1, label_prefix: str = ""):
+        self.stream = stream
+        self.tasks = stream.tasks
         self.run_scheme = run_scheme
         self.machine = machine
         self.placement = placement
@@ -378,13 +386,11 @@ class _CandidateEvaluator:
         self.cache = cache if material_base is not None else None
         self.material_base = material_base
         self.jobs = jobs
-        self.label_prefix = (
-            "%s->%s " % placement if machine.heterogeneous else ""
-        )
+        self.label_prefix = label_prefix
         self.collector = get_collector()
         self._memo: dict = {}
         self._tasks_doc: Optional[list] = None
-        self._scheduler = DAEScheduler(machine=machine, placement=placement)
+        self.scheduler = DAEScheduler(machine=machine, placement=placement)
 
     # -- public API ------------------------------------------------------------
 
@@ -412,7 +418,7 @@ class _CandidateEvaluator:
                 self.collector.instant(
                     "tuning.cache.hit", cat="tuning.cache",
                     args={"workload": self.workload_name,
-                          "pair": pair_label(pair)},
+                          "pair": self.label_prefix + pair_label(pair)},
                 )
                 self._memo[pair.key] = self._candidate(
                     pair, payload, from_cache=True
@@ -423,7 +429,7 @@ class _CandidateEvaluator:
                 self.collector.instant(
                     "tuning.cache.miss", cat="tuning.cache",
                     args={"workload": self.workload_name,
-                          "pair": pair_label(pair)},
+                          "pair": self.label_prefix + pair_label(pair)},
                 )
             missing.append(pair)
         if not missing:
@@ -435,7 +441,7 @@ class _CandidateEvaluator:
             self.collector.instant(
                 "tuning.candidate", cat="tuning",
                 args={"workload": self.workload_name,
-                      "pair": pair_label(pair),
+                      "pair": self.label_prefix + pair_label(pair),
                       "value": self._memo[pair.key].value},
             )
 
@@ -452,6 +458,17 @@ class _CandidateEvaluator:
                 self.execute_config.operating_points)
         ]
 
+    def phases(self) -> tuple[tuple[PhaseProfile, MachineConfig], ...]:
+        """(whole-run profile, placed config) of the access and execute
+        phases, which the continuous strategies optimize over; on a CAE
+        stream the inert access coordinate follows the execute one."""
+        access = self.stream.aggregate_access()
+        execute = self.stream.aggregate_execute()
+        if access.instructions == 0 and access.slots == 0:
+            access = execute
+        return ((access, self.access_config),
+                (execute, self.execute_config))
+
     # -- computation -----------------------------------------------------------
 
     def _compute(self, pairs: List[CandidatePair]) -> List[dict]:
@@ -464,7 +481,7 @@ class _CandidateEvaluator:
         return [self._compute_serial(pair) for pair in pairs]
 
     def _compute_serial(self, pair: CandidatePair) -> dict:
-        result = self._scheduler.run(
+        result = self.scheduler.run(
             self.tasks, self.run_scheme, TunedPolicy.from_pair(pair),
             record_timeline=False,
         )
@@ -483,10 +500,7 @@ class _CandidateEvaluator:
                 futures = [
                     executor.submit(_candidate_worker, (
                         self._tasks_payload(), self.run_scheme.value,
-                        self.machine, self.placement,
-                        [pair.key[:1] + (pair.access.voltage,)
-                         + pair.key[1:] + (pair.execute.voltage,)
-                         for pair in chunk],
+                        self.machine, self.placement, chunk,
                     ))
                     for chunk in chunks
                 ]
@@ -568,12 +582,15 @@ class _CandidateEvaluator:
 def _candidate_material(profile_material: Optional[dict],
                         workload_name: str, stream: Scheme,
                         run_scheme: Scheme, config: MachineConfig,
-                        scale: int) -> Optional[dict]:
+                        scale: int, machine: Optional[MachineModel] = None,
+                        placement: tuple = ()) -> Optional[dict]:
     """Everything a candidate's schedule is a function of except the
-    point pair itself; ``None`` when the profiles are uncacheable."""
+    point pair itself; ``None`` when the profiles are uncacheable.
+    Only a tune of several placements passes ``machine``, so
+    one-placement keys match caches filled before placements were."""
     if profile_material is None:
         return None
-    return {
+    material = {
         "kind": "tuning-candidate",
         "format": CANDIDATE_FORMAT,
         "profile_key": cache_key(profile_material),
@@ -588,20 +605,26 @@ def _candidate_material(profile_material: Optional[dict],
             "sleep_power_w": DAEScheduler.sleep_power_w,
         },
     }
+    if machine is not None:
+        material["machine"] = machine_material(machine)
+        material["placement"] = list(placement)
+    return material
 
 
-def _aggregate_profiles(
-    tasks: List[TaskProfile],
-) -> tuple[PhaseProfile, PhaseProfile]:
-    """Whole-run (access, execute) profiles: the per-phase totals the
-    continuous strategies optimize over."""
-    access = PhaseProfile()
-    execute = PhaseProfile()
-    for task in tasks:
-        execute = execute.merged(task.execute)
-        if task.access is not None:
-            access = access.merged(task.access)
-    return access, execute
+def _distinct_placements(machine: MachineModel,
+                         run_scheme: Scheme) -> List[tuple[str, str]]:
+    """The declared placement, (execute, execute) and (access, access),
+    resolved by ``machine.placement`` to type names and kept where their
+    placed configs first occur (equal configs are indistinguishable to
+    every model, so a one-type machine has one placement)."""
+    placements: dict = {}
+    for placed in ((machine.access_type, machine.execute_type),
+                   (machine.execute_type,) * 2,
+                   (machine.access_type,) * 2):
+        access, execute = machine.placement(run_scheme.value, placed)
+        placements.setdefault((access.config, execute.config),
+                              (access.name, execute.name))
+    return list(placements.values())
 
 
 def tune_workload(workload: Union[Workload, str, type], *,
@@ -620,7 +643,8 @@ def tune_workload(workload: Union[Workload, str, type], *,
     """Auto-tune ``workload``'s operating points under ``objective``.
 
     ``strategy`` is one of :data:`STRATEGIES` or ``"all"``.  Candidate
-    schedules are memoized and fanned through a process pool (``jobs``
+    schedules are memoized, persistently cached (``cache``,
+    ``cache_dir``) and fanned through a process pool (``jobs``
     workers).  The winning pair is installed as the ``"tuned"``
     frequency policy unless ``install=False`` (or no candidate is
     feasible).  ``interp`` picks the profiling interpreter (``None``:
@@ -630,19 +654,14 @@ def tune_workload(workload: Union[Workload, str, type], *,
     ``machine`` names a registered
     :class:`~repro.machines.model.MachineModel` (or passes one
     directly) and excludes ``config``; ``config`` is tuned as the
-    one-type machine.  Every tune searches a list of (access type,
-    execute type) placements, and the winner is the lowest
-    ``(value, placement rank, pair)``:
-
-    * a one-type machine places its one type.  Profiling goes through
-      the evaluation engine (``jobs``, persistent cache), candidates
-      are persistently cached per point pair, and every strategy runs;
-    * a heterogeneous machine places the declared pair, then (execute,
-      execute) and (access, access).  The workload is recorded once and
-      replayed per placement; each placement sweeps the cross product
-      of its two types' tables exhaustively (the continuous strategies
-      assume one table, and the candidate cache key does not name a
-      placement, so both stay off).
+    one-type machine.  The tune searches the machine's distinct
+    placements (:func:`_distinct_placements`): one on a one-type
+    machine; the declared pair, (execute, execute) and (access, access)
+    on a heterogeneous one, fewer under a coupled scheme.  Every
+    selected strategy runs on every placement, each phase on its placed
+    type's table, and the winner is the lowest ``(value, placement
+    rank, pair)``.  The ``phase-local`` baseline and the reference
+    policies are scheduled on the declared placement.
     """
     if machine is not None and config is not None:
         raise ValueError("pass either config= or machine=, not both")
@@ -658,7 +677,6 @@ def tune_workload(workload: Union[Workload, str, type], *,
         if isinstance(machine, str):
             machine = MachineModel.from_name(machine)
         machine_name = machine.name
-    heterogeneous = machine.heterogeneous
     config = machine.config
     objective = resolve_objective(objective)
     scheme = Scheme.coerce(scheme, context="tune_workload")
@@ -673,11 +691,8 @@ def tune_workload(workload: Union[Workload, str, type], *,
     stream = Scheme.CAE if scheme is Scheme.CAE else scheme
     run_scheme = Scheme.CAE if scheme is Scheme.CAE else Scheme.DAE
 
-    declared = (machine.access_type, machine.execute_type)
-    placements = [declared]
-    if heterogeneous:
-        placements += [(machine.execute_type,) * 2,
-                       (machine.access_type,) * 2]
+    placements = _distinct_placements(machine, run_scheme)
+    several = len(placements) > 1
 
     collector = get_collector()
     stats = TuningStats()
@@ -695,77 +710,62 @@ def tune_workload(workload: Union[Workload, str, type], *,
         )
         resolved = spec.resolve_workloads()[0]
         span.args["workload"] = resolved.name
-        material_base = None
-        if heterogeneous:
-            tasks_by_placement = _record_placements(
-                resolved, stream, machine, placements, scale, options,
-                interp,
-            )
-        else:
-            engine_result = run_experiment(spec)
-            stats.engine = engine_result.stats.as_dict()
-            run = engine_result[resolved.name]
-            tasks_by_placement = {
-                declared: run.profiles[stream.value].tasks,
-            }
-            profile_material = key_material(
-                resolved, spec.scale, config, spec.options, spec.schemes
-            ) if cache else None
+        streams = _profile_placements(
+            spec, resolved, stream, machine, placements, stats,
+        )
+        profile_material = key_material(
+            resolved, spec.scale, config, spec.options, spec.schemes,
+            machine=machine if several else None,
+        ) if cache else None
+        evaluators = []
+        for placed in placements:
             material_base = _candidate_material(
                 profile_material, resolved.name, stream, run_scheme,
-                config, scale,
+                config, scale, machine=machine if several else None,
+                placement=placed,
             )
-        evaluators = [
-            _CandidateEvaluator(
-                tasks=tasks_by_placement[placed], run_scheme=run_scheme,
+            evaluators.append(_CandidateEvaluator(
+                stream=streams[placed], run_scheme=run_scheme,
                 machine=machine, placement=placed, objective=objective,
                 workload_name=resolved.name, stats=stats,
-                cache=(ProfileCache(cache_dir)
-                       if material_base is not None else None),
-                material_base=material_base, jobs=jobs,
-            )
-            for placed in placements
+                cache=ProfileCache(cache_dir), material_base=material_base,
+                jobs=jobs,
+                label_prefix="%s->%s " % placed if several else "",
+            ))
+
+        phase_local = _phase_local_candidate(evaluators[0])
+        seeds = [_phase_local_seed(e) for e in evaluators]
+        summaries = [
+            _traced(lambda name=name: _run_strategy(
+                name, evaluators, seeds, phase_local, config,
+            ))
+            for name in selected
         ]
-        declared_evaluator = evaluators[0]
+        references = _reference_candidates(evaluators[0])
 
-        phase_local = _phase_local_candidate(
-            declared_evaluator.tasks, run_scheme, machine, declared,
-            objective, stats,
-        )
-        if heterogeneous:
-            searches = [
-                ("placement:%s->%s" % e.placement,
-                 lambda e=e: _sweep_placement(e))
-                for e in evaluators
-            ]
-        else:
-            seed = _phase_local_seed(
-                declared_evaluator.tasks, config, objective, stats
-            )
-            searches = [
-                (name, lambda name=name: _run_strategy(
-                    name, declared_evaluator, seed, phase_local, config,
-                    objective,
+        # Placements with pairs to rank: a phase-local-only tune
+        # evaluates pairs (the references) on the declared one alone.
+        searched = evaluators if selected != ("phase-local",) else (
+            evaluators[:1])
+        if several:
+            detail = ("exhaustive over the placed types' tables"
+                      if "exhaustive" in selected
+                      else "best pair evaluated on the placed types' tables")
+            summaries += [
+                _traced(lambda e=e: _summary(
+                    "placement:%s->%s" % e.placement, len(e.candidates()),
+                    _select_best(e.candidates()), detail,
                 ))
-                for name in selected
+                for e in searched
             ]
-        summaries: List[StrategySummary] = []
-        for name, search in searches:
-            with collector.span("tuning.search", cat="tuning",
-                                args={"strategy": name}) as search_span:
-                summary = search()
-                search_span.args.update(summary.as_dict())
-            summaries.append(summary)
-
-        references = _reference_candidates(declared_evaluator)
 
         # Winner: lowest (value, placement rank, pair key); each
         # placement's best already breaks its own ties on the pair key.
-        bests = [_select_best(e.candidates()) for e in evaluators]
+        bests = [_select_best(e.candidates()) for e in searched]
         rank = min(range(len(bests)), key=lambda i: (bests[i].value, i))
         best = bests[rank]
         placement = dict(zip(("access", "execute"), placements[rank])) if (
-            heterogeneous) else None
+            several) else None
         pair_candidates = [c for e in evaluators for c in e.candidates()]
         front = pareto_front(
             [ParetoPoint(c.time_s, c.energy_j, c.label)
@@ -798,45 +798,51 @@ def tune_workload(workload: Union[Workload, str, type], *,
     )
 
 
-def _record_placements(resolved: Workload, stream: Scheme,
-                       machine: MachineModel, placements: list,
-                       scale: int, options: Optional[AccessPhaseOptions],
-                       interp: Optional[str]) -> dict:
-    """Task profiles per placement on a heterogeneous machine.
+def _profile_placements(spec: ExperimentSpec, resolved: Workload,
+                        stream: Scheme, machine: MachineModel,
+                        placements: list, stats: TuningStats) -> dict:
+    """The profiled task stream per placement.
 
-    The workload is recorded once (profiling on the machine replays the
-    declared placement) and the recording is re-simulated for every
-    other placement, because a phase's cache profile depends on which
-    type's private caches it replays through.
+    One placement reads the persistent profile cache through the
+    evaluation engine.  Several placements record the workload once
+    (profiling on the machine replays the declared placement) and
+    re-simulate the recording for every other placement, because a
+    phase's cache profile depends on which type's private caches it
+    replays through — and the profile cache does not hold recordings.
     """
+    if len(placements) == 1:
+        engine_result = run_experiment(spec)
+        stats.engine = engine_result.stats.as_dict()
+        return {
+            placements[0]:
+                engine_result[resolved.name].profiles[stream.value],
+        }
     store = TraceStore()
-    declared = placements[0]
-    tasks = {
-        declared: profile_workload(
-            resolved, scale, options=options, schemes=(stream,),
-            interp=interp, trace_store=store, machine=machine,
-        ).profiles[stream.value].tasks,
+    streams = {
+        placements[0]: profile_workload(
+            resolved, spec.scale, options=spec.options, schemes=(stream,),
+            interp=spec.interp, trace_store=store, machine=machine,
+        ).profiles[stream.value],
     }
     records = store.schemes[stream.value]
     for placed in placements[1:]:
-        tasks[placed] = replay_stream(
-            records, stream.value, machine, placed
-        ).tasks
-    return tasks
+        streams[placed] = replay_stream(records, stream.value, machine, placed)
+    return streams
 
 
 # -- tuning internals ----------------------------------------------------------
 
 
-def _phase_local_candidate(tasks, run_scheme, machine, placement,
-                           objective, stats) -> TuningCandidate:
-    """Schedule the paper's baseline: per-task, per-phase grid argmin."""
-    scheduler = DAEScheduler(machine=machine, placement=placement)
-    result = scheduler.run(
-        tasks, run_scheme, _PhaseLocalPolicy(objective, stats),
+def _phase_local_candidate(
+        evaluator: _CandidateEvaluator) -> TuningCandidate:
+    """Schedule the paper's baseline: per-task, per-phase grid argmin,
+    on the evaluator's (machine, placement)."""
+    result = evaluator.scheduler.run(
+        evaluator.tasks, evaluator.run_scheme,
+        _PhaseLocalPolicy(evaluator.objective, evaluator.stats),
         record_timeline=False,
     )
-    value = objective.value(result)
+    value = evaluator.objective.value(result)
     return TuningCandidate(
         label="phase-local", pair=None,
         time_ns=result.time_ns, energy_nj=result.energy_nj,
@@ -845,31 +851,30 @@ def _phase_local_candidate(tasks, run_scheme, machine, placement,
     )
 
 
-def _phase_local_seed(tasks, config, objective, stats) -> CandidatePair:
+def _phase_local_seed(evaluator: _CandidateEvaluator) -> CandidatePair:
     """Descent seed: the phase-local argmin over the *aggregate* access
-    and execute profiles (one pair summarizing the baseline)."""
-    access, execute = _aggregate_profiles(tasks)
-    if access.instructions == 0 and access.slots == 0:
-        access = execute  # CAE stream: the access coordinate is inert
+    and execute profiles, each on its placed table (one pair
+    summarizing the baseline)."""
     outcomes = [
         grid_search_point(
-            lambda point, profile=profile: objective.phase_value(
-                profile, point, config
+            lambda point, profile=profile, config=config: (
+                evaluator.objective.phase_value(profile, point, config)
             ),
             config.operating_points,
         )
-        for profile in (access, execute)
+        for profile, config in evaluator.phases()
     ]
-    stats.phase_evals += sum(o.evaluations for o in outcomes)
+    evaluator.stats.phase_evals += sum(o.evaluations for o in outcomes)
     return CandidatePair(
         access=outcomes[0].best_point, execute=outcomes[1].best_point
     )
 
 
-def _run_strategy(name: str, evaluator: _CandidateEvaluator,
-                  seed: CandidatePair, phase_local: TuningCandidate,
-                  config: MachineConfig,
-                  objective: Objective) -> StrategySummary:
+def _run_strategy(name: str, evaluators: List[_CandidateEvaluator],
+                  seeds: List[CandidatePair], phase_local: TuningCandidate,
+                  config: MachineConfig) -> StrategySummary:
+    """Run strategy ``name`` on every placement: the row holds the best
+    placement's result and the evaluations summed over placements."""
     if name == "phase-local":
         return StrategySummary(
             name=name,
@@ -878,78 +883,71 @@ def _run_strategy(name: str, evaluator: _CandidateEvaluator,
             best_value=phase_local.value,
             detail="per-phase grid (Section 6.1 baseline)",
         )
+    runs = [_run_on_placement(name, evaluator, seed)
+            for evaluator, seed in zip(evaluators, seeds)]
+    best = min(runs, key=lambda run: run.best_value)
+    return replace(best, evaluations=sum(run.evaluations for run in runs))
+
+
+def _run_on_placement(name: str, evaluator: _CandidateEvaluator,
+                      seed: CandidatePair) -> StrategySummary:
     if name == "exhaustive":
-        evaluator.prefetch(evaluator.grid())
-        outcome = grid_search_pair(evaluator.value, config.operating_points)
-        return _summary_from_outcome(name, outcome)
+        grid = evaluator.grid()
+        evaluator.prefetch(grid)
+        return _summary(name, len(grid), _select_best(evaluator.candidates()))
     if name == "golden":
-        return _run_golden(evaluator, config, objective)
+        return _run_golden(evaluator)
     if name == "descent":
         outcome = coordinate_descent(
-            evaluator.value, config.operating_points, seed,
+            evaluator.value, evaluator.access_config.operating_points, seed,
             prefetch=evaluator.prefetch,
+            execute_points=evaluator.execute_config.operating_points,
         )
-        return _summary_from_outcome(name, outcome)
+        return _summary(name, outcome.evaluations,
+                        evaluator.evaluate(outcome.best_pair))
     raise ValueError("unknown strategy %r" % name)
 
 
-def _run_golden(evaluator: _CandidateEvaluator, config: MachineConfig,
-                objective: Objective) -> StrategySummary:
+def _run_golden(evaluator: _CandidateEvaluator) -> StrategySummary:
     """Golden-section on the continuous V/f line per aggregate phase,
     snapped to discrete points and evaluated at schedule level."""
-    access, execute = _aggregate_profiles(evaluator.tasks)
-    if access.instructions == 0 and access.slots == 0:
-        access = execute
-    lo = config.fmin.freq_ghz
-    hi = config.fmax.freq_ghz
+    phases = evaluator.phases()
     outcomes = [
         golden_section(
-            lambda f, profile=profile: objective.phase_value(
-                profile, interpolate_point(f, config), config
+            lambda f, profile=profile, config=config: (
+                evaluator.objective.phase_value(
+                    profile, interpolate_point(f, config), config)
             ),
-            lo, hi,
+            config.fmin.freq_ghz, config.fmax.freq_ghz,
         )
-        for profile in (access, execute)
+        for profile, config in phases
     ]
     evaluator.stats.phase_evals += sum(o.evaluations for o in outcomes)
-    pair = CandidatePair(
-        access=nearest_point(outcomes[0].best_freq_ghz,
-                             config.operating_points),
-        execute=nearest_point(outcomes[1].best_freq_ghz,
-                              config.operating_points),
+    access, execute = (
+        nearest_point(outcome.best_freq_ghz, config.operating_points)
+        for outcome, (_, config) in zip(outcomes, phases)
     )
-    candidate = evaluator.evaluate(pair)
-    return StrategySummary(
-        name="golden",
-        evaluations=sum(o.evaluations for o in outcomes) + 1,
-        best_label=candidate.label,
-        best_value=candidate.value,
+    candidate = evaluator.evaluate(CandidatePair(access, execute))
+    return _summary(
+        "golden", sum(o.evaluations for o in outcomes) + 1, candidate,
         detail="continuous argmin A=%.3f/E=%.3f GHz, snapped"
         % (outcomes[0].best_freq_ghz, outcomes[1].best_freq_ghz),
     )
 
 
-def _summary_from_outcome(name: str,
-                          outcome: SearchOutcome) -> StrategySummary:
-    return StrategySummary(
-        name=name,
-        evaluations=outcome.evaluations,
-        best_label=pair_label(outcome.best_pair),
-        best_value=outcome.best_value,
-    )
+def _traced(search) -> StrategySummary:
+    """Run one search (or summary) inside its ``tuning.search`` span."""
+    with get_collector().span("tuning.search", cat="tuning") as span:
+        summary = search()
+        span.args.update(strategy=summary.name, **summary.as_dict())
+    return summary
 
 
-def _sweep_placement(evaluator: _CandidateEvaluator) -> StrategySummary:
-    """One placement's exhaustive sweep over its two placed tables."""
-    grid = evaluator.grid()
-    evaluator.prefetch(grid)
-    best = _select_best(evaluator.candidates())
+def _summary(name: str, evaluations: int, best: TuningCandidate,
+             detail: str = "") -> StrategySummary:
     return StrategySummary(
-        name="placement:%s->%s" % evaluator.placement,
-        evaluations=len(grid),
-        best_label=best.label,
-        best_value=best.value,
-        detail="exhaustive over the placed types' tables",
+        name=name, evaluations=evaluations, best_label=best.label,
+        best_value=best.value, detail=detail,
     )
 
 
